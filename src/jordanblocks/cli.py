@@ -10,10 +10,16 @@ import argparse
 import json
 import sys
 
-from .operators import ModuleKind, ModuleSpec, oracle_type
-from .partitions import Family, GroupContext, JordanType
+from .operators import ModuleSpec, oracle_type
+from .partitions import Family, GroupContext, JordanType, is_admissible
 from .rules import closed_form_type
-from .sweep import SweepConfig, enumerate_partitions, run_sweep, verify_lemma_identities
+from .sweep import (
+    DEFAULT_MODULES,
+    SweepConfig,
+    enumerate_partitions,
+    run_sweep,
+    verify_lemma_identities,
+)
 
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1
@@ -119,8 +125,6 @@ def _table_rows(n_min, n_max, primes, family, modules, paper_table):
             except ValueError:
                 continue
             for jt in enumerate_partitions(n):
-                from .partitions import is_admissible
-
                 if not is_admissible(jt, ctx):
                     continue
                 types = {str(m): str(closed_form_type(jt, ctx, m)) for m in modules}
@@ -184,15 +188,7 @@ def _cmd_sweep(args, out, err) -> int:
     if args.modules is not None:
         modules = _parse_modules(args.modules)
     else:
-        modules = tuple(
-            m
-            for family in families
-            for m in {
-                Family.SL: (ModuleSpec(ModuleKind.SL), ModuleSpec(ModuleKind.PSL)),
-                Family.SP: (ModuleSpec(ModuleKind.SP_OMEGA2),),
-                Family.SO: (ModuleSpec(ModuleKind.SO_2OMEGA1),),
-            }[family]
-        )
+        modules = tuple(m for family in families for m in DEFAULT_MODULES[family])
     cfg = SweepConfig(
         max_n=max_n,
         primes=primes,

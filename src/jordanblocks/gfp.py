@@ -86,10 +86,6 @@ class GFpMatrix:
     def identity(cls, p: int, n: int) -> "GFpMatrix":
         return cls(p, np.eye(n, dtype=np.int64))
 
-    @classmethod
-    def from_rows(cls, p: int, rows) -> "GFpMatrix":
-        return cls(p, np.array(rows, dtype=np.int64))
-
     # -- shape -----------------------------------------------------------------
 
     @property
@@ -133,14 +129,6 @@ class GFpMatrix:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch for difference: {self.shape} - {other.shape}")
         return GFpMatrix(self.p, self.a - other.a)
-
-    def __neg__(self) -> "GFpMatrix":
-        return GFpMatrix(self.p, -self.a)
-
-    def __rmul__(self, k: int) -> "GFpMatrix":
-        if not isinstance(k, int):
-            return NotImplemented
-        return GFpMatrix(self.p, self.a * (k % self.p))
 
     def __pow__(self, k: int) -> "GFpMatrix":
         if self.rows != self.cols:
@@ -275,7 +263,7 @@ def column_space_basis(m: GFpMatrix) -> GFpMatrix:
 
 
 def is_nilpotent(m: GFpMatrix) -> bool:
-    """Repeated-squaring nilpotency check (not assumed by callers)."""
+    """Repeated-squaring nilpotency check."""
     if m.rows != m.cols:
         return False
     power = m
@@ -294,16 +282,15 @@ def jordan_type_of_nilpotent(m: GFpMatrix) -> JordanType:
 
     Ranks of successive powers are computed on a shrinking chain of image
     bases, which is equivalent to eliminating each power directly but far
-    cheaper.  Non-nilpotent input is an error: it signals an operator
-    construction bug, e.g. a wrong sign in a dual action.
+    cheaper.  Non-nilpotent input is an error, caught by the rank chain
+    failing to fall: it signals an operator construction bug, e.g. a wrong
+    sign in a dual action.
     """
     if m.rows != m.cols:
         raise ValueError("matrix not square")
     dim = m.rows
     if dim == 0:
         return JordanType()
-    if not is_nilpotent(m):
-        raise ValueError("matrix not nilpotent")
     ranks = [dim]
     image = m
     while True:

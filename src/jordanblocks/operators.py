@@ -23,23 +23,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
-from .gfp import (
-    GFpMatrix,
-    inverse,
-    is_nilpotent,
-    jordan_type_of_nilpotent,
-    solve_columns,
-)
+from .gfp import GFpMatrix, inverse, jordan_type_of_nilpotent, solve_columns
 from .partitions import Family, GroupContext, JordanType, is_admissible
 
 
 class ModuleKind(Enum):
     NATURAL = "v"
-    TENSOR = "tensor"  # V (x) V*
-    GL = "gl"
+    GL = "gl"  # V (x) V*
+    TENSOR = "gl"  # alias of GL
     WEDGE2 = "wedge2"
     SYM2 = "sym2"
     SL = "sl"
@@ -55,20 +50,65 @@ class Isogeny(Enum):
     INTERMEDIATE = "int"
 
 
-_MODULE_ALIASES = {
-    "v": ModuleKind.NATURAL,
-    "natural": ModuleKind.NATURAL,
-    "tensor": ModuleKind.TENSOR,
-    "vxv*": ModuleKind.TENSOR,
-    "vxv": ModuleKind.TENSOR,
-    "gl": ModuleKind.GL,
-    "wedge2": ModuleKind.WEDGE2,
-    "sym2": ModuleKind.SYM2,
-    "sl": ModuleKind.SL,
-    "psl": ModuleKind.PSL,
-    "l_omega2": ModuleKind.SP_OMEGA2,
-    "l_2omega1": ModuleKind.SO_2OMEGA1,
+class Rewrite(Enum):
+    """How the rules engine turns the base square's type into the module's."""
+
+    NONE = "none"
+    TRACE_ZERO = "trace-zero"  # one block p^v becomes p^v - 1
+    MIDDLE = "middle factor"  # drop the trivial sub and quotient
+    MIDDLE_PLUS_TRIVIAL = "middle factor plus a trivial summand"
+
+
+@dataclass(frozen=True)
+class ModuleEntry:
+    """Everything the engines need to know about one module.
+
+    ``family`` is the only family the module is defined for (None: all).
+    ``base`` and ``rewrite`` are the rules recipe: the type on the base
+    square (V itself, V (x) V*, the exterior or the symmetric square),
+    then a partition rewrite.  ``oracle`` builds the type from an
+    ``_OracleSession`` by its own construction; it must never follow the
+    rules recipe, or a wrong entry would go unnoticed by every sweep.
+    ``p_power`` is the exponent k of a p^k that must divide n.
+    """
+
+    family: Family | None
+    base: ModuleKind
+    rewrite: Rewrite
+    oracle: Callable[["_OracleSession"], JordanType]
+    p_power: int = 0
+
+
+# the one description of every module; to add one, add a row (and a
+# ModuleKind or Isogeny member for its name)
+MODULES = {
+    "v": ModuleEntry(None, ModuleKind.NATURAL, Rewrite.NONE, lambda s: s.jt),
+    "gl": ModuleEntry(None, ModuleKind.GL, Rewrite.NONE, lambda s: s.tensor_type()),
+    "wedge2": ModuleEntry(None, ModuleKind.WEDGE2, Rewrite.NONE, lambda s: s.wedge_type()),
+    "sym2": ModuleEntry(None, ModuleKind.SYM2, Rewrite.NONE, lambda s: s.sym_type()),
+    "sl": ModuleEntry(None, ModuleKind.GL, Rewrite.TRACE_ZERO, lambda s: s.sl_type()),
+    "psl": ModuleEntry(None, ModuleKind.GL, Rewrite.MIDDLE, lambda s: s.psl_type()),
+    # the irreducible factors, split off psl by the other square
+    "l_omega2": ModuleEntry(
+        Family.SP, ModuleKind.WEDGE2, Rewrite.MIDDLE, lambda s: s.psl_without(s.sym_type())
+    ),
+    "l_2omega1": ModuleEntry(
+        Family.SO, ModuleKind.SYM2, Rewrite.MIDDLE, lambda s: s.psl_without(s.wedge_type())
+    ),
+    # simply connected and adjoint isogeny types both carry the trace-zero
+    # type (the adjoint one through duality)
+    "adjoint-sc": ModuleEntry(Family.SL, ModuleKind.GL, Rewrite.TRACE_ZERO, lambda s: s.sl_type()),
+    "adjoint-ad": ModuleEntry(Family.SL, ModuleKind.GL, Rewrite.TRACE_ZERO, lambda s: s.sl_type()),
+    "adjoint-int": ModuleEntry(
+        Family.SL,
+        ModuleKind.GL,
+        Rewrite.MIDDLE_PLUS_TRIVIAL,
+        lambda s: s.psl_type() + JordanType({1: 1}),
+        p_power=2,
+    ),
 }
+
+_MODULE_ALIASES = {"natural": "v", "tensor": "gl", "vxv*": "gl", "vxv": "gl"}
 
 
 @dataclass(frozen=True)
@@ -87,20 +127,20 @@ class ModuleSpec:
             return f"adjoint-{self.isogeny.value}"
         return self.kind.value
 
+    @property
+    def entry(self) -> ModuleEntry:
+        return MODULES[str(self)]
+
     @classmethod
     def parse(cls, text: str) -> "ModuleSpec":
         key = text.strip().lower()
-        if key in _MODULE_ALIASES:
-            return cls(_MODULE_ALIASES[key])
-        if key.startswith("adjoint-"):
-            tag = key.removeprefix("adjoint-")
-            for iso in Isogeny:
-                if iso.value == tag:
-                    return cls(ModuleKind.ADJOINT, iso)
-        raise ValueError(
-            f"unknown module {text!r}; expected one of "
-            f"{sorted(_MODULE_ALIASES)} or adjoint-sc/adjoint-ad/adjoint-int"
-        )
+        key = _MODULE_ALIASES.get(key, key)
+        if key not in MODULES:
+            raise ValueError(
+                f"unknown module {text!r}; expected one of {sorted([*MODULES, *_MODULE_ALIASES])}"
+            )
+        kind, _, tag = key.partition("-")
+        return cls(ModuleKind(kind), Isogeny(tag) if tag else None)
 
 
 class DecompositionError(ValueError):
@@ -109,19 +149,15 @@ class DecompositionError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class NilpotentOperator:
-    """A square nilpotent matrix with a labelled basis and a module tag."""
+    """A square matrix with a module tag; it is nilpotent, which
+    :meth:`jordan_type` checks."""
 
     matrix: GFpMatrix
-    basis_labels: tuple[str, ...]
     module: ModuleSpec
 
     def __post_init__(self):
         if self.matrix.rows != self.matrix.cols:
             raise ValueError("operator matrix must be square")
-        if len(self.basis_labels) != self.matrix.rows:
-            raise ValueError("label count must equal the matrix dimension")
-        if not is_nilpotent(self.matrix):
-            raise ValueError("matrix not nilpotent")
 
     @property
     def dim(self) -> int:
@@ -158,19 +194,11 @@ def _shift_array(jt: JordanType) -> np.ndarray:
     return a
 
 
-def natural_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"v{i}" for i in range(1, n + 1))
-
-
 def natural_nilpotent(jt: JordanType, p: int) -> NilpotentOperator:
     """Block-diagonal shift of the given Jordan type acting on V."""
     if not jt:
         raise ValueError("empty Jordan type has no natural operator")
-    return NilpotentOperator(
-        GFpMatrix(p, _shift_array(jt)),
-        natural_labels(jt.total_dim),
-        ModuleSpec(ModuleKind.NATURAL),
-    )
+    return NilpotentOperator(GFpMatrix(p, _shift_array(jt)), ModuleSpec(ModuleKind.NATURAL))
 
 
 def natural_unipotent(jt: JordanType, p: int) -> GFpMatrix:
@@ -182,10 +210,6 @@ def natural_unipotent(jt: JordanType, p: int) -> GFpMatrix:
 
 
 # -- lifts to derived modules ---------------------------------------------------
-
-
-def tensor_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"v{i}⊗v{j}*" for i in range(1, n + 1) for j in range(1, n + 1))
 
 
 def lift_to_tensor(m_on_v: GFpMatrix, *, unipotent: bool = False) -> NilpotentOperator:
@@ -207,11 +231,7 @@ def lift_to_tensor(m_on_v: GFpMatrix, *, unipotent: bool = False) -> NilpotentOp
     else:
         e = m_on_v.a
         big = np.kron(e, eye) - np.kron(eye, e.T)
-    return NilpotentOperator(GFpMatrix(p, big), tensor_labels(n), ModuleSpec(ModuleKind.TENSOR))
-
-
-def wedge_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"v{i}∧v{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    return NilpotentOperator(GFpMatrix(p, big), ModuleSpec(ModuleKind.GL))
 
 
 def lift_to_wedge2(m_on_v: GFpMatrix, *, unipotent: bool = False) -> NilpotentOperator:
@@ -237,11 +257,7 @@ def lift_to_wedge2(m_on_v: GFpMatrix, *, unipotent: bool = False) -> NilpotentOp
         mat[:, col] = anti[rows_idx, cols_idx]
     if unipotent:
         mat -= np.eye(dim, dtype=np.int64)
-    return NilpotentOperator(GFpMatrix(p, mat), wedge_labels(n), ModuleSpec(ModuleKind.WEDGE2))
-
-
-def sym_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"v{i}·v{j}" for i in range(1, n + 1) for j in range(i, n + 1))
+    return NilpotentOperator(GFpMatrix(p, mat), ModuleSpec(ModuleKind.WEDGE2))
 
 
 def lift_to_sym2(m_on_v: GFpMatrix, *, unipotent: bool = False) -> NilpotentOperator:
@@ -272,7 +288,7 @@ def lift_to_sym2(m_on_v: GFpMatrix, *, unipotent: bool = False) -> NilpotentOper
         mat[:, col] = sym[rows_idx, cols_idx]
     if unipotent:
         mat -= np.eye(dim, dtype=np.int64)
-    return NilpotentOperator(GFpMatrix(p, mat), sym_labels(n), ModuleSpec(ModuleKind.SYM2))
+    return NilpotentOperator(GFpMatrix(p, mat), ModuleSpec(ModuleKind.SYM2))
 
 
 # -- trace-zero subspace and its quotient ---------------------------------------
@@ -294,14 +310,13 @@ def gamma_vector(n: int, p: int) -> GFpMatrix:
     return GFpMatrix(p, col)
 
 
-def trace_kernel_basis(n: int, p: int) -> tuple[GFpMatrix, tuple[str, ...]]:
+def trace_kernel_basis(n: int, p: int) -> GFpMatrix:
     """Deterministic integer basis of the trace-zero subspace of V (x) V*.
 
     Off-diagonal matrix units in row-major order, then the consecutive
     diagonal differences.
     """
     cols = []
-    labels = []
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -309,34 +324,30 @@ def trace_kernel_basis(n: int, p: int) -> tuple[GFpMatrix, tuple[str, ...]]:
             v = np.zeros(n * n, dtype=np.int64)
             v[i * n + j] = 1
             cols.append(v)
-            labels.append(f"v{i + 1}⊗v{j + 1}*")
     for i in range(n - 1):
         v = np.zeros(n * n, dtype=np.int64)
         v[i * n + i] = 1
         v[(i + 1) * n + (i + 1)] = -1
         cols.append(v)
-        labels.append(f"v{i + 1}⊗v{i + 1}*-v{i + 2}⊗v{i + 2}*")
-    return GFpMatrix(p, np.column_stack(cols)), tuple(labels)
+    return GFpMatrix(p, np.column_stack(cols))
 
 
 def restrict_to_trace_kernel(op: NilpotentOperator) -> NilpotentOperator:
     """Restrict an operator on V (x) V* to the trace-zero subspace."""
-    if op.module.kind not in (ModuleKind.TENSOR, ModuleKind.GL):
+    if op.module.kind is not ModuleKind.GL:
         raise ValueError("input must act on V (x) V*")
     n = math.isqrt(op.dim)
     if n * n != op.dim:
         raise ValueError("operator dimension is not a perfect square")
-    basis, labels = trace_kernel_basis(n, op.p)
+    basis = trace_kernel_basis(n, op.p)
     try:
         restricted = solve_columns(basis, op.matrix @ basis)
     except ValueError as exc:
         raise ValueError(f"trace-zero subspace is not invariant: {exc}") from exc
-    return NilpotentOperator(restricted, labels, ModuleSpec(ModuleKind.SL))
+    return NilpotentOperator(restricted, ModuleSpec(ModuleKind.SL))
 
 
-def quotient_by_invariant_line(
-    op_on_kernel: NilpotentOperator, gamma: GFpMatrix | None = None
-) -> NilpotentOperator:
+def quotient_by_invariant_line(op_on_kernel: NilpotentOperator) -> NilpotentOperator:
     """Induced operator on (trace-zero subspace) / (invariant line).
 
     Only meaningful when p divides n; otherwise the invariant vector has
@@ -355,10 +366,7 @@ def quotient_by_invariant_line(
             "quotient equals the trace-zero subspace when p does not divide n; "
             "use restrict_to_trace_kernel"
         )
-    if gamma is None:
-        gamma = gamma_vector(n, p)
-    basis, _ = trace_kernel_basis(n, p)
-    coords = solve_columns(basis, gamma).a[:, 0]
+    coords = solve_columns(trace_kernel_basis(n, p), gamma_vector(n, p)).a[:, 0]
     nz = np.nonzero(coords)[0]
     if nz.size == 0:
         raise ValueError("invariant vector is zero")
@@ -370,8 +378,7 @@ def quotient_by_invariant_line(
     reduced = (r - np.outer(coords * inv % p, r[pivot, :])) % p
     keep = [i for i in range(dim) if i != pivot]
     q = reduced[np.ix_(keep, keep)]
-    labels = tuple(op_on_kernel.basis_labels[i] for i in keep)
-    return NilpotentOperator(GFpMatrix(p, q), labels, ModuleSpec(ModuleKind.PSL))
+    return NilpotentOperator(GFpMatrix(p, q), ModuleSpec(ModuleKind.PSL))
 
 
 # -- distinguished vectors -------------------------------------------------------
@@ -494,16 +501,11 @@ def validate_query(jt: JordanType, ctx: GroupContext, module: ModuleSpec) -> Non
         )
     if not is_admissible(jt, ctx):
         raise ValueError(f"partition {jt} is not admissible for {ctx.family.value}")
-    kind = module.kind
-    if kind is ModuleKind.SP_OMEGA2 and ctx.family is not Family.SP:
-        raise ValueError("module l_omega2 needs family Sp")
-    if kind is ModuleKind.SO_2OMEGA1 and ctx.family is not Family.SO:
-        raise ValueError("module l_2omega1 needs family SO")
-    if kind is ModuleKind.ADJOINT:
-        if ctx.family is not Family.SL:
-            raise ValueError("adjoint module tags are defined here for family SL only")
-        if module.isogeny is Isogeny.INTERMEDIATE and ctx.n % (ctx.p**2):
-            raise ValueError("intermediate isogeny type needs p^2 dividing n")
+    entry = module.entry
+    if entry.family not in (None, ctx.family):
+        raise ValueError(f"module {module} needs family {entry.family.value}")
+    if ctx.n % ctx.p**entry.p_power:
+        raise ValueError(f"module {module} needs p^{entry.p_power} dividing n")
 
 
 class _OracleSession:
@@ -558,39 +560,14 @@ class _OracleSession:
             lambda: lift_to_sym2(self.matrix_on_v(), unipotent=self.unipotent).jordan_type(),
         )
 
+    def psl_without(self, part: JordanType) -> JordanType:
+        try:
+            return self.psl_type() - part
+        except ValueError as exc:
+            raise DecompositionError(f"module decomposition violated: {exc}") from exc
+
     def type_for(self, module: ModuleSpec) -> JordanType:
-        kind = module.kind
-        if kind is ModuleKind.NATURAL:
-            return self.jt
-        if kind in (ModuleKind.TENSOR, ModuleKind.GL):
-            return self.tensor_type()
-        if kind is ModuleKind.WEDGE2:
-            return self.wedge_type()
-        if kind is ModuleKind.SYM2:
-            return self.sym_type()
-        if kind is ModuleKind.SL:
-            return self.sl_type()
-        if kind is ModuleKind.PSL:
-            return self.psl_type()
-        if kind is ModuleKind.SP_OMEGA2:
-            try:
-                return self.psl_type() - self.sym_type()
-            except ValueError as exc:
-                raise DecompositionError(
-                    f"module decomposition violated for {module}: {exc}"
-                ) from exc
-        if kind is ModuleKind.SO_2OMEGA1:
-            try:
-                return self.psl_type() - self.wedge_type()
-            except ValueError as exc:
-                raise DecompositionError(
-                    f"module decomposition violated for {module}: {exc}"
-                ) from exc
-        if kind is ModuleKind.ADJOINT:
-            if module.isogeny is Isogeny.INTERMEDIATE:
-                return self.psl_type() + JordanType({1: 1})
-            return self.sl_type()
-        raise ValueError(f"unhandled module {module}")
+        return module.entry.oracle(self)
 
 
 def oracle_types(

@@ -19,9 +19,9 @@ import numpy as np
 
 from .gfp import GFpMatrix, jordan_type_of_nilpotent
 from .operators import (
-    Isogeny,
     ModuleKind,
     ModuleSpec,
+    Rewrite,
     lift_to_sym2,
     lift_to_wedge2,
     validate_query,
@@ -78,29 +78,27 @@ def tensor_square_type(jt: JordanType, p: int) -> JordanType:
     return JordanType(acc)
 
 
-def wedge_square_type(jt: JordanType, p: int) -> JordanType:
-    """Type on the exterior square: per-block exterior squares plus one
-    tensor pair for each unordered pair of distinct blocks."""
+def _square_type(jt: JordanType, p: int, block_type) -> JordanType:
+    """Type on a square of V: ``block_type`` of every block plus one tensor
+    pair for each unordered pair of distinct blocks."""
     acc: dict[int, int] = {}
     pairs = jt.pairs()
     for i, (a, ma) in enumerate(pairs):
-        _accumulate(acc, wedge_block_type(a, p), ma)
+        _accumulate(acc, block_type(a, p), ma)
         _accumulate(acc, tensor_pair_type(a, a, p), ma * (ma - 1) // 2)
         for b, mb in pairs[i + 1 :]:
             _accumulate(acc, tensor_pair_type(a, b, p), ma * mb)
     return JordanType(acc)
+
+
+def wedge_square_type(jt: JordanType, p: int) -> JordanType:
+    """Type on the exterior square."""
+    return _square_type(jt, p, wedge_block_type)
 
 
 def sym_square_type(jt: JordanType, p: int) -> JordanType:
-    """Type on the symmetric square, by the same block decomposition."""
-    acc: dict[int, int] = {}
-    pairs = jt.pairs()
-    for i, (a, ma) in enumerate(pairs):
-        _accumulate(acc, sym_block_type(a, p), ma)
-        _accumulate(acc, tensor_pair_type(a, a, p), ma * (ma - 1) // 2)
-        for b, mb in pairs[i + 1 :]:
-            _accumulate(acc, tensor_pair_type(a, b, p), ma * mb)
-    return JordanType(acc)
+    """Type on the symmetric square."""
+    return _square_type(jt, p, sym_block_type)
 
 
 # -- the rewriting rules -------------------------------------------------------------
@@ -172,41 +170,34 @@ def irreducible_type_from_base(
 # -- full pipeline -------------------------------------------------------------------
 
 
+_BASE_TYPES = {
+    ModuleKind.NATURAL: lambda jt, p: jt,
+    ModuleKind.GL: tensor_square_type,
+    ModuleKind.WEDGE2: wedge_square_type,
+    ModuleKind.SYM2: sym_square_type,
+}
+
+
 def closed_form_type(jt: JordanType, ctx: GroupContext, module: ModuleSpec) -> JordanType:
     """Jordan type on the requested module by pure partition rewriting.
 
-    Base types on the tensor, exterior and symmetric squares come from the
-    memoized pairwise cache; everything after that is the closed rules.
+    The module's entry in the module table names a base square, whose type
+    comes from the memoized pairwise cache, and the closed rule that
+    rewrites it.
     """
     validate_query(jt, ctx, module)
     p, n = ctx.p, ctx.n
-    kind = module.kind
-    if kind is ModuleKind.NATURAL:
-        return jt
-    if kind in (ModuleKind.TENSOR, ModuleKind.GL):
-        return tensor_square_type(jt, p)
-    if kind is ModuleKind.WEDGE2:
-        return wedge_square_type(jt, p)
-    if kind is ModuleKind.SYM2:
-        return sym_square_type(jt, p)
+    entry = module.entry
+    base = _BASE_TYPES[entry.base](jt, p)
+    if entry.rewrite is Rewrite.NONE:
+        return base
     valuation = jt.gcd_valuation(p)
-    if kind is ModuleKind.SL:
-        return sl_type_from_gl(tensor_square_type(jt, p), p, valuation)
-    if kind is ModuleKind.PSL:
-        return psl_type_from_gl(tensor_square_type(jt, p), p, n, valuation)
-    if kind is ModuleKind.SP_OMEGA2:
-        return irreducible_type_from_base(wedge_square_type(jt, p), p, n, valuation)
-    if kind is ModuleKind.SO_2OMEGA1:
-        return irreducible_type_from_base(sym_square_type(jt, p), p, n, valuation)
-    if kind is ModuleKind.ADJOINT:
-        if module.isogeny is Isogeny.INTERMEDIATE:
-            return psl_type_from_gl(tensor_square_type(jt, p), p, n, valuation) + JordanType(
-                {1: 1}
-            )
-        # simply connected and adjoint isogeny types both carry the
-        # trace-zero type (the adjoint one through duality)
-        return sl_type_from_gl(tensor_square_type(jt, p), p, valuation)
-    raise ValueError(f"unhandled module {module}")
+    if entry.rewrite is Rewrite.TRACE_ZERO:
+        return sl_type_from_gl(base, p, valuation)
+    out = _middle_factor_type(base, p, n, valuation)
+    if entry.rewrite is Rewrite.MIDDLE_PLUS_TRIVIAL:
+        out = out + JordanType({1: 1})
+    return out
 
 
 def unipotent_matches_nilpotent_on_psl(jt: JordanType, p: int, n: int) -> bool:

@@ -19,7 +19,6 @@ import numpy as np
 
 from .gfp import GFpMatrix, vstack
 from .operators import (
-    ModuleKind,
     ModuleSpec,
     _OracleSession,
     distinguished_vectors,
@@ -28,7 +27,7 @@ from .operators import (
     trace_functional,
     validate_query,
 )
-from .partitions import Family, GroupContext, JordanType, is_prime
+from .partitions import Family, GroupContext, JordanType, is_admissible, is_prime
 from .rules import closed_form_type, unipotent_matches_nilpotent_on_psl
 
 # rank-based lemma facts need elimination on the full tensor-square operator;
@@ -38,10 +37,13 @@ _PARTITION_FACT_N_CAP = 8
 
 _FAMILY_MIN_N = {Family.SL: 2, Family.SP: 4, Family.SO: 5}
 
-_DEFAULT_MODULES = {
-    Family.SL: (ModuleSpec(ModuleKind.SL), ModuleSpec(ModuleKind.PSL)),
-    Family.SP: (ModuleSpec(ModuleKind.SP_OMEGA2),),
-    Family.SO: (ModuleSpec(ModuleKind.SO_2OMEGA1),),
+DEFAULT_MODULES = {
+    family: tuple(ModuleSpec.parse(name) for name in names)
+    for family, names in (
+        (Family.SL, ("sl", "psl")),
+        (Family.SP, ("l_omega2",)),
+        (Family.SO, ("l_2omega1",)),
+    )
 }
 
 
@@ -73,16 +75,13 @@ class SweepConfig:
     checks.  ``mutate`` deliberately corrupts the rule outputs; a sweep under
     mutation must report discrepancies, which is the harness sensitivity
     check.  ``threads`` defaults to the JORDANBLOCKS_THREADS environment
-    variable, then 1.
+    variable, then 1; a run uses at most one worker per CPU and per case.
     """
 
     max_n: int
     primes: tuple[int, ...]
     families: tuple[Family, ...] = (Family.SL,)
-    modules: tuple[ModuleSpec, ...] = (
-        ModuleSpec(ModuleKind.SL),
-        ModuleSpec(ModuleKind.PSL),
-    )
+    modules: tuple[ModuleSpec, ...] = DEFAULT_MODULES[Family.SL]
     fail_fast: bool = False
     unipotent_agreement: bool = False
     mutate: bool = False
@@ -96,12 +95,16 @@ class SweepConfig:
                 raise ValueError(f"{p} is not prime")
         if any(f in (Family.SP, Family.SO) for f in self.families) and 2 in self.primes:
             raise ValueError("sweeps over Sp or SO require odd primes only")
+        if self.threads is not None and self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
 
     def resolved_threads(self) -> int:
         if self.threads is not None:
-            return max(1, self.threads)
-        env = os.environ.get("JORDANBLOCKS_THREADS", "")
-        return max(1, int(env)) if env.isdigit() else 1
+            return self.threads
+        env = os.environ.get("JORDANBLOCKS_THREADS") or "1"
+        if not (env.isdigit() and int(env) >= 1):
+            raise ValueError(f"JORDANBLOCKS_THREADS must be a positive integer, got {env!r}")
+        return int(env)
 
 
 @dataclass(frozen=True)
@@ -134,17 +137,6 @@ class DiscrepancyReport:
         return (self.family.value, self.n, self.p, str(self.partition), self.module)
 
 
-def _applicable(module: ModuleSpec, family: Family) -> bool:
-    kind = module.kind
-    if kind is ModuleKind.SP_OMEGA2:
-        return family is Family.SP
-    if kind is ModuleKind.SO_2OMEGA1:
-        return family is Family.SO
-    if kind is ModuleKind.ADJOINT:
-        return family is Family.SL
-    return True
-
-
 def _sweep_cases(cfg: SweepConfig) -> list[tuple[Family, int, int, JordanType]]:
     cases = []
     for family in cfg.families:
@@ -158,8 +150,6 @@ def _sweep_cases(cfg: SweepConfig) -> list[tuple[Family, int, int, JordanType]]:
                     continue
                 for jt in enumerate_partitions(n):
                     # admissibility filtering lives here, not in the enumerator
-                    from .partitions import is_admissible
-
                     if not is_admissible(jt, ctx):
                         continue
                     cases.append((family, n, p, jt))
@@ -173,20 +163,22 @@ def _corrupt(jt: JordanType) -> JordanType:
 
 def _check_case(
     cfg: SweepConfig, family: Family, n: int, p: int, jt: JordanType
-) -> list[DiscrepancyReport]:
+) -> tuple[list[DiscrepancyReport], int]:
+    """Reports for one case, and how many modules it compared."""
     ctx = GroupContext(family, n, p)
-    modules = [m for m in cfg.modules if _applicable(m, family)]
     reports: list[DiscrepancyReport] = []
+    compared = 0
 
     def report(module: str, expected: str, actual: str):
         reports.append(DiscrepancyReport(jt, family, n, p, module, expected, actual))
 
     session = _OracleSession(jt, ctx, unipotent=False)
-    for module in modules:
+    for module in cfg.modules:
         try:
             validate_query(jt, ctx, module)
         except ValueError:
-            continue  # e.g. intermediate isogeny without p^2 | n
+            continue  # e.g. another family's module, or adjoint-int without p^2 | n
+        compared += 1
         expected = closed_form_type(jt, ctx, module)
         if cfg.mutate:
             expected = _corrupt(expected)
@@ -197,7 +189,7 @@ def _check_case(
         if str(expected) != actual:
             report(str(module), str(expected), actual)
         if cfg.fail_fast and reports:
-            return reports
+            return reports, compared
 
     if cfg.unipotent_agreement and family is Family.SL:
         usession = _OracleSession(jt, ctx, unipotent=True)
@@ -223,18 +215,25 @@ def _check_case(
                     f"agree ({utype()})" if agree else f"{utype()} vs {etype()}",
                 )
             if cfg.fail_fast and reports:
-                return reports
-    return reports
+                return reports, compared
+    return reports, compared
 
 
 def run_sweep(cfg: SweepConfig) -> list[DiscrepancyReport]:
-    """Run every configured comparison; empty result means full agreement."""
+    """Run every configured comparison; empty result means full agreement.
+
+    A sweep in which no (case, module) pair passes :func:`validate_query`
+    compares nothing, and is an error rather than a clean run.
+    """
     cases = _sweep_cases(cfg)
-    threads = cfg.resolved_threads()
+    threads = min(cfg.resolved_threads(), os.cpu_count() or 1, max(1, len(cases)))
     reports: list[DiscrepancyReport] = []
+    compared = 0
     if threads == 1:
         for family, n, p, jt in cases:
-            reports.extend(_check_case(cfg, family, n, p, jt))
+            case_reports, case_compared = _check_case(cfg, family, n, p, jt)
+            reports.extend(case_reports)
+            compared += case_compared
             if cfg.fail_fast and reports:
                 break
     else:
@@ -244,10 +243,14 @@ def run_sweep(cfg: SweepConfig) -> list[DiscrepancyReport]:
                 for family, n, p, jt in cases
             ]
             for fut in futures:
-                reports.extend(fut.result())
+                case_reports, case_compared = fut.result()
+                reports.extend(case_reports)
+                compared += case_compared
                 if cfg.fail_fast and reports:
                     pool.shutdown(cancel_futures=True)
                     break
+    if not compared and not reports:
+        raise ValueError("sweep compared no (case, module) pair; check families and modules")
     reports.sort(key=DiscrepancyReport.sort_key)
     if cfg.fail_fast and reports:
         return reports[:1]

@@ -135,6 +135,29 @@ def test_sweep_clean_run(capsys):
     assert "0 discrepancy(ies)" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--modules", "adjoint-int", "--max-n", "5", "--primes", "5"),
+        ("--families", "SL", "--modules", "l_omega2"),
+    ],
+)
+def test_sweep_that_compares_nothing_exits_2(capsys, argv):
+    code, _, err = run_cli(capsys, "sweep", *argv)
+    assert code == 2
+    assert "compared no" in err
+
+
+def test_sweep_bad_thread_count_exits_2(capsys, monkeypatch):
+    code, _, err = run_cli(capsys, "sweep", "--max-n", "3", "--primes", "2", "--threads", "0")
+    assert code == 2
+    assert "threads must be >= 1" in err
+    monkeypatch.setenv("JORDANBLOCKS_THREADS", "abc")
+    code, _, err = run_cli(capsys, "sweep", "--max-n", "3", "--primes", "2")
+    assert code == 2
+    assert "JORDANBLOCKS_THREADS" in err
+
+
 def test_sweep_mutation_reports_and_exit(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--max-n", "3", "--primes", "2", "--mutate")
     assert code == 1

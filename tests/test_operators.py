@@ -30,7 +30,15 @@ from jordanblocks import (
     restrict_to_trace_kernel,
 )
 from jordanblocks.gfp import _row_echelon, nullspace, solve_columns, vstack
-from jordanblocks.operators import gamma_vector, trace_functional, trace_kernel_basis
+from jordanblocks.operators import (
+    _MODULE_ALIASES,
+    MODULES,
+    gamma_vector,
+    trace_functional,
+    trace_kernel_basis,
+    validate_query,
+)
+from jordanblocks.rules import closed_form_type
 from jordanblocks.sweep import enumerate_partitions
 
 partitions = st.lists(st.integers(1, 5), min_size=1, max_size=4).map(JordanType.from_sizes)
@@ -49,7 +57,6 @@ def test_natural_nilpotent_structure():
     expect = np.zeros((4, 4), dtype=np.int64)
     expect[2, 3] = 1
     assert op.matrix.a.tolist() == expect.tolist()
-    assert op.basis_labels == ("v1", "v2", "v3", "v4")
     op2 = natural_nilpotent(T("2"), 3)
     assert op2.matrix.a.tolist() == [[0, 1], [0, 0]]
 
@@ -79,7 +86,6 @@ def test_empty_type_rejected():
 def test_tensor_lift_regular_n3_p3():
     op = lift_to_tensor(natural_nilpotent(T("3"), 3).matrix)
     assert op.jordan_type() == T("3^3")
-    assert op.basis_labels[:4] == ("v1⊗v1*", "v1⊗v2*", "v1⊗v3*", "v2⊗v1*")
 
 
 def test_tensor_lift_zero_map():
@@ -171,7 +177,6 @@ def test_wedge_regular_n3_large_p():
 def test_sym_zero_map_n2():
     op = lift_to_sym2(GFpMatrix.zeros(5, 2, 2))
     assert op.jordan_type() == T("1^3")
-    assert op.basis_labels == ("v1·v1", "v1·v2", "v2·v2")
 
 
 def test_wedge_needs_dim_two():
@@ -246,9 +251,8 @@ def test_gamma_is_annihilated():
 
 
 def test_trace_kernel_basis_shape_and_kernel():
-    basis, labels = trace_kernel_basis(3, 5)
+    basis = trace_kernel_basis(3, 5)
     assert basis.shape == (9, 8)
-    assert len(labels) == 8
     assert (trace_functional(3, 5) @ basis).is_zero()
     assert basis.rank() == 8
 
@@ -396,6 +400,8 @@ def test_oracle_validation_errors():
 def test_module_spec_parse_and_str():
     assert ModuleSpec.parse("psl") == ModuleSpec(ModuleKind.PSL)
     assert ModuleSpec.parse("VxV*") == ModuleSpec(ModuleKind.TENSOR)
+    assert ModuleKind.TENSOR is ModuleKind.GL
+    assert str(ModuleSpec.parse("tensor")) == "gl"
     assert ModuleSpec.parse("adjoint-int") == ModuleSpec(ModuleKind.ADJOINT, Isogeny.INTERMEDIATE)
     assert str(ModuleSpec.parse("adjoint-sc")) == "adjoint-sc"
     with pytest.raises(ValueError, match="unknown module"):
@@ -404,12 +410,39 @@ def test_module_spec_parse_and_str():
         ModuleSpec(ModuleKind.SL, Isogeny.ADJOINT_GROUP)
 
 
+# one small admissible query per family, with p^2 | n for SL (adjoint-int)
+_TABLE_QUERIES = {
+    Family.SL: (GroupContext(Family.SL, 4, 2), T("2^2")),
+    Family.SP: (GroupContext(Family.SP, 6, 3), T("3^2")),
+    Family.SO: (GroupContext(Family.SO, 6, 3), T("3^2")),
+}
+# modules defined for one family only; every other module takes all three
+_ONLY_FAMILY = {
+    "l_omega2": Family.SP,
+    "l_2omega1": Family.SO,
+    "adjoint-sc": Family.SL,
+    "adjoint-ad": Family.SL,
+    "adjoint-int": Family.SL,
+}
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+@pytest.mark.parametrize("name", sorted([*MODULES, *_MODULE_ALIASES]))
+def test_module_table_entry_families_and_engines(name, family):
+    module = ModuleSpec.parse(name)
+    ctx, jt = _TABLE_QUERIES[family]
+    if _ONLY_FAMILY.get(str(module), family) is not family:
+        with pytest.raises(ValueError, match="needs family"):
+            validate_query(jt, ctx, module)
+        return
+    validate_query(jt, ctx, module)
+    assert closed_form_type(jt, ctx, module) == oracle_type(jt, ctx, module)
+
+
 def test_nilpotent_operator_validation():
-    good = natural_nilpotent(T("2"), 3)
-    with pytest.raises(ValueError, match="label count"):
-        NilpotentOperator(good.matrix, ("v1",), ModuleSpec(ModuleKind.NATURAL))
+    op = NilpotentOperator(GFpMatrix.identity(3, 2), ModuleSpec(ModuleKind.NATURAL))
     with pytest.raises(ValueError, match="not nilpotent"):
-        NilpotentOperator(GFpMatrix.identity(3, 2), ("v1", "v2"), ModuleSpec(ModuleKind.NATURAL))
+        op.jordan_type()
 
 
 # -- admissibility witnesses and exhaustive small cross-checks ---------------------------

@@ -1,8 +1,10 @@
 import json
 import math
+import os
 
 import pytest
 
+import jordanblocks.sweep as sweep_module
 from jordanblocks import (
     DiscrepancyReport,
     Family,
@@ -114,6 +116,28 @@ def test_threads_env_variable(monkeypatch):
     monkeypatch.delenv("JORDANBLOCKS_THREADS")
     assert SweepConfig(max_n=4, primes=(2,)).resolved_threads() == 1
     assert SweepConfig(max_n=4, primes=(2,), threads=2).resolved_threads() == 2
+    for value in ("abc", "-3", "0", "2.5"):
+        monkeypatch.setenv("JORDANBLOCKS_THREADS", value)
+        with pytest.raises(ValueError, match="JORDANBLOCKS_THREADS"):
+            SweepConfig(max_n=4, primes=(2,)).resolved_threads()
+
+
+def test_worker_count_capped_by_cpus_and_cases(monkeypatch):
+    seen = []
+    real_pool = sweep_module.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        seen.append(max_workers)
+        return real_pool(max_workers=min(max_workers, 2))
+
+    monkeypatch.setattr(sweep_module, "ThreadPoolExecutor", recording_pool)
+    cfg = SweepConfig(max_n=3, primes=(2,), threads=10**6)
+    cases = len(sweep_module._sweep_cases(cfg))
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert run_sweep(cfg) == []
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert run_sweep(cfg) == []
+    assert seen == [cases, 3] and cases == 5
 
 
 def test_report_sorting_deterministic():
