@@ -1,19 +1,32 @@
 """Dense exact linear algebra over prime fields GF(p).
 
 Residues are stored in int64 arrays and every operation reduces mod p, so
-all results are exact.  Matrix products are internally routed through
-float64 BLAS when the dot products provably fit below 2**53, which they
-always do at the sizes and moduli used here; the stored representation
-stays integral either way.
+all results are exact as long as p <= MAX_MODULUS: every intermediate is at
+most (p - 1)**2 + p in absolute value, which stays below 2**63.  Larger
+moduli are refused.  Matrix products are internally routed through float64
+BLAS when the dot products provably fit below 2**53, and otherwise summed in
+int64 over slices of the inner dimension short enough not to wrap; the
+stored representation stays integral either way.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .partitions import JordanType, is_prime
 
 _FLOAT_EXACT_BOUND = 2.0**53
+_INT64_BOUND = 2**63
+# the largest modulus the int64 kernels handle exactly
+MAX_MODULUS = math.isqrt(_INT64_BOUND - 1)
+
+
+def check_modulus(p: int) -> None:
+    """Refuse a modulus above MAX_MODULUS, where int64 arithmetic could wrap."""
+    if p > MAX_MODULUS:
+        raise ValueError(f"modulus {p} exceeds {MAX_MODULUS}, the largest exact in int64")
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -23,11 +36,23 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if (p - 1) ** 2 * a.shape[1] < _FLOAT_EXACT_BOUND:
         prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
         return np.mod(prod, p).astype(np.int64)
-    return np.mod(a @ b, p)
+    check_modulus(p)
+    # a residue plus `step` products of residues stays below 2**63
+    step = (_INT64_BOUND - p) // (p - 1) ** 2
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for k in range(0, a.shape[1], step):
+        out = (out + a[:, k : k + step] @ b[k : k + step]) % p
+    return out
 
 
 def _row_echelon(arr: np.ndarray, p: int, reduced: bool = False):
-    """In-place style elimination on a copy; returns (echelon, pivot cols)."""
+    """Elimination on a copy of ``arr`` (entries in [0, p)); returns
+    (echelon, pivot cols).
+
+    A pivot updates only the rows with a nonzero entry in its column, and
+    only from its column on: rows at or below it are zero to its left.  The
+    lifted operators stay sparse, so most rows need no update at all.
+    """
     a = np.array(arr, dtype=np.int64)
     rows, cols = a.shape
     pivots: list[int] = []
@@ -35,7 +60,7 @@ def _row_echelon(arr: np.ndarray, p: int, reduced: bool = False):
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
@@ -43,15 +68,12 @@ def _row_echelon(arr: np.ndarray, p: int, reduced: bool = False):
             a[[r, i]] = a[[i, r]]
         inv = pow(int(a[r, c]), -1, p)
         if inv != 1:
-            a[r] = (a[r] * inv) % p
-        if r + 1 < rows:
-            factors = a[r + 1 :, c]
-            if factors.any():
-                a[r + 1 :] = (a[r + 1 :] - np.outer(factors, a[r])) % p
+            a[r, c:] = (a[r, c:] * inv) % p
+        hit = r + nz[1:]  # rows below with a nonzero in column c; the swap put a zero at i
         if reduced and r > 0:
-            factors = a[:r, c]
-            if factors.any():
-                a[:r] = (a[:r] - np.outer(factors, a[r])) % p
+            hit = np.concatenate([a[:r, c].nonzero()[0], hit])
+        if hit.size:
+            a[hit, c:] = (a[hit, c:] - np.outer(a[hit, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
     return a, pivots
@@ -65,6 +87,7 @@ class GFpMatrix:
     def __init__(self, p: int, data):
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
+        check_modulus(p)
         arr = np.asarray(data, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError("matrix data must be two-dimensional")

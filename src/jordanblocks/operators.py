@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gfp import GFpMatrix, inverse, jordan_type_of_nilpotent, solve_columns
+from .gfp import GFpMatrix, inverse, jordan_type_of_nilpotent
 from .partitions import Family, GroupContext, JordanType, is_admissible
 
 
@@ -310,40 +310,26 @@ def gamma_vector(n: int, p: int) -> GFpMatrix:
     return GFpMatrix(p, col)
 
 
-def trace_kernel_basis(n: int, p: int) -> GFpMatrix:
-    """Deterministic integer basis of the trace-zero subspace of V (x) V*.
-
-    Off-diagonal matrix units in row-major order, then the consecutive
-    diagonal differences.
-    """
-    cols = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            v = np.zeros(n * n, dtype=np.int64)
-            v[i * n + j] = 1
-            cols.append(v)
-    for i in range(n - 1):
-        v = np.zeros(n * n, dtype=np.int64)
-        v[i * n + i] = 1
-        v[(i + 1) * n + (i + 1)] = -1
-        cols.append(v)
-    return GFpMatrix(p, np.column_stack(cols))
-
-
 def restrict_to_trace_kernel(op: NilpotentOperator) -> NilpotentOperator:
-    """Restrict an operator on V (x) V* to the trace-zero subspace."""
+    """Restrict an operator on V (x) V* to the trace-zero subspace.
+
+    In the basis of the module docstring the images are gathers of columns,
+    and the coordinates of a trace-zero vector are its off-diagonal entries
+    followed by the partial sums of its diagonal; the full sum is its trace.
+    """
     if op.module.kind is not ModuleKind.GL:
         raise ValueError("input must act on V (x) V*")
     n = math.isqrt(op.dim)
     if n * n != op.dim:
         raise ValueError("operator dimension is not a perfect square")
-    basis = trace_kernel_basis(n, op.p)
-    try:
-        restricted = solve_columns(basis, op.matrix @ basis)
-    except ValueError as exc:
-        raise ValueError(f"trace-zero subspace is not invariant: {exc}") from exc
+    m = op.matrix.a
+    diag = np.arange(n) * (n + 1)
+    off = np.flatnonzero(np.arange(n * n) % (n + 1))  # diag: the multiples of n + 1
+    images = np.hstack([m[:, off], m[:, diag[:-1]] - m[:, diag[1:]]])
+    sums = np.cumsum(images[diag], axis=0) % op.p
+    if sums[-1].any():
+        raise ValueError("trace-zero subspace is not invariant: an image has nonzero trace")
+    restricted = GFpMatrix(op.p, np.vstack([images[off], sums[:-1]]))
     return NilpotentOperator(restricted, ModuleSpec(ModuleKind.SL))
 
 
@@ -366,16 +352,15 @@ def quotient_by_invariant_line(op_on_kernel: NilpotentOperator) -> NilpotentOper
             "quotient equals the trace-zero subspace when p does not divide n; "
             "use restrict_to_trace_kernel"
         )
-    coords = solve_columns(trace_kernel_basis(n, p), gamma_vector(n, p)).a[:, 0]
-    nz = np.nonzero(coords)[0]
-    if nz.size == 0:
-        raise ValueError("invariant vector is zero")
-    pivot = int(nz[0])
+    # coordinates of gamma, the sum of the diagonal units: the i-th diagonal
+    # difference has coefficient i + 1, so the first one is a pivot of 1
+    pivot = dim - (n - 1)
+    coords = np.zeros(dim, dtype=np.int64)
+    coords[pivot:] = np.arange(1, n) % p
     r = op_on_kernel.matrix.a
     if (r @ coords % p).any():
         raise ValueError("line is not annihilated by the operator")
-    inv = pow(int(coords[pivot]), -1, p)
-    reduced = (r - np.outer(coords * inv % p, r[pivot, :])) % p
+    reduced = (r - np.outer(coords, r[pivot, :])) % p
     keep = [i for i in range(dim) if i != pivot]
     q = reduced[np.ix_(keep, keep)]
     return NilpotentOperator(GFpMatrix(p, q), ModuleSpec(ModuleKind.PSL))

@@ -11,6 +11,7 @@ corresponding Lie algebra.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -34,8 +35,9 @@ class Family(Enum):
         raise ValueError(f"unknown group family {text!r} (expected SL, Sp or SO)")
 
 
+@functools.lru_cache
 def is_prime(m: int) -> bool:
-    """Trial-division primality test; the moduli used here are tiny."""
+    """Trial-division primality test, memoized: a program uses few moduli."""
     if m < 2:
         return False
     if m % 2 == 0:
@@ -228,9 +230,9 @@ class JordanType:
 class GroupContext:
     """A classical group acting on its natural module over GF(p).
 
-    Validates the standing hypotheses: p prime, p odd for Sp and SO (good
-    characteristic), and the dimension bounds n >= 2 (SL), n >= 4 even
-    (Sp), n >= 5 (SO).
+    Validates the standing hypotheses: p prime and at most
+    ``gfp.MAX_MODULUS``, p odd for Sp and SO (good characteristic), and the
+    dimension bounds n >= 2 (SL), n >= 4 even (Sp), n >= 5 (SO).
     """
 
     family: Family
@@ -238,8 +240,11 @@ class GroupContext:
     p: int
 
     def __post_init__(self):
+        from .gfp import check_modulus  # deferred: gfp imports this module
+
         if not is_prime(self.p):
             raise ValueError(f"characteristic {self.p} is not prime")
+        check_modulus(self.p)
         if self.family in (Family.SP, Family.SO) and self.p == 2:
             raise ValueError(f"p = 2 is not a good characteristic for {self.family.value}")
         if self.family is Family.SL and self.n < 2:

@@ -68,6 +68,27 @@ def test_type_bad_characteristic_for_sp(capsys):
     assert "good characteristic" in err
 
 
+@pytest.mark.parametrize("module", ["gl", "sl", "psl"])
+@pytest.mark.parametrize("engine", ["rules", "oracle"])
+def test_type_modulus_above_bound_exits_2(capsys, module, engine):
+    code, _, err = run_cli(
+        capsys, "type", "--partition", "2,3", "--p", "4294967311", "--module", module,
+        "--engine", engine,
+    )
+    assert code == 2
+    assert "exceeds 3037000499" in err
+
+
+@pytest.mark.parametrize("module", ["gl", "sl", "psl"])
+def test_type_largest_admitted_prime_agrees(capsys, module):
+    code, out, _ = run_cli(
+        capsys, "type", "--partition", "2,3", "--p", "3037000493", "--module", module,
+        "--engine", "both",
+    )
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "AGREE"
+
+
 def test_type_parse_error(capsys):
     code, _, err = run_cli(capsys, "type", "--partition", "x", "--p", "3", "--module", "sl")
     assert code == 2

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanblocks import GFpMatrix, JordanType, jordan_type_of_nilpotent
+from jordanblocks.partitions import is_prime
 from jordanblocks.gfp import (
+    MAX_MODULUS,
+    _matmul_mod,
+    _row_echelon,
     column_space_basis,
     hstack,
     inverse,
@@ -61,6 +65,86 @@ def test_matmul_exact_vs_python_ints():
             [[sum(int(x) * int(y) for x, y in zip(ra, cb)) % p for cb in b.T] for ra in a]
         )
         assert np.array_equal(fast, slow)
+
+
+def _dense_row_echelon(arr, p, reduced=False):
+    """Reference: plain dense elimination, every pivot updates every row."""
+    a = np.array(arr, dtype=np.int64)
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
+        a[r + 1 :] = (a[r + 1 :] - np.outer(a[r + 1 :, c], a[r])) % p
+        if reduced:
+            a[:r] = (a[:r] - np.outer(a[:r, c], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(0, 24),
+    st.integers(0, 24),
+    st.sampled_from([2, 3, 5, 7, 65521]),
+    st.sampled_from(["dense", "sparse", "low-rank"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_row_echelon_matches_dense_reference(rows, cols, p, kind, reduced, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        a = rng.integers(0, p, size=(rows, cols))
+    elif kind == "sparse":  # at most 5% nonzero
+        a = rng.integers(1, p, size=(rows, cols)) * (rng.random((rows, cols)) < 0.05)
+    else:
+        k = int(rng.integers(0, 4))
+        a = rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols)) % p
+    a[rng.random(rows) < 0.2] = 0
+    a[:, rng.random(cols) < 0.2] = 0
+    echelon, pivots = _row_echelon(a, p, reduced)
+    want_echelon, want_pivots = _dense_row_echelon(a, p, reduced)
+    assert echelon.dtype == np.int64
+    assert np.array_equal(echelon, want_echelon)
+    assert pivots == want_pivots
+
+
+# the largest prime the int64 kernels admit
+LARGEST_PRIME = 3037000493
+
+
+def test_modulus_bound():
+    assert (MAX_MODULUS - 1) ** 2 + MAX_MODULUS < 2**63
+    assert not any(is_prime(q) for q in range(LARGEST_PRIME + 1, MAX_MODULUS + 1))
+    assert is_prime(LARGEST_PRIME) and is_prime(4294967311)
+    with pytest.raises(ValueError, match=f"exceeds {MAX_MODULUS}"):
+        GFpMatrix(4294967311, [[1]])
+    with pytest.raises(ValueError, match=f"exceeds {MAX_MODULUS}"):
+        _matmul_mod(np.ones((2, 2), dtype=np.int64), np.ones((2, 2), dtype=np.int64), 4294967311)
+
+
+def test_exact_at_largest_modulus():
+    # entries near p - 1: each product is close to 2**63, so an unsliced
+    # int64 dot product would wrap
+    p = LARGEST_PRIME
+    rng = np.random.default_rng(11)
+    a = p - 1 - rng.integers(0, 3, size=(4, 7))
+    b = p - 1 - rng.integers(0, 3, size=(7, 5))
+    fast = (GFpMatrix(p, a) @ GFpMatrix(p, b)).a
+    slow = [[sum(int(x) * int(y) for x, y in zip(ra, cb)) % p for cb in b.T] for ra in a]
+    assert fast.tolist() == slow
+    u = GFpMatrix(p, np.triu(p - 1 - rng.integers(0, 3, size=(6, 6)), 1) + np.eye(6, dtype=np.int64))
+    assert u @ inverse(u) == GFpMatrix.identity(p, 6)
+    assert GFpMatrix(p, a).rank() == GFpMatrix(p, a).transpose().rank()
 
 
 def test_rank_basics():

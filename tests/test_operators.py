@@ -35,7 +35,6 @@ from jordanblocks.operators import (
     MODULES,
     gamma_vector,
     trace_functional,
-    trace_kernel_basis,
     validate_query,
 )
 from jordanblocks.rules import closed_form_type
@@ -248,6 +247,55 @@ def test_gamma_is_annihilated():
         u_op = lift_to_tensor(natural_unipotent(jt, p), unipotent=True)
         assert (u_op.matrix @ g).is_zero()
         assert trace_functional(n, p).a[0].sum() == n
+
+
+def trace_kernel_basis(n, p):
+    """The trace-zero basis as explicit columns: off-diagonal matrix units
+    row-major, then the consecutive diagonal differences."""
+    cols = []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                v = np.zeros(n * n, dtype=np.int64)
+                v[i * n + j] = 1
+                cols.append(v)
+    for i in range(n - 1):
+        v = np.zeros(n * n, dtype=np.int64)
+        v[i * n + i] = 1
+        v[(i + 1) * n + (i + 1)] = -1
+        cols.append(v)
+    return GFpMatrix(p, np.column_stack(cols))
+
+
+def test_restrict_rejects_non_invariant_operator():
+    n, p = 3, 5
+    m = np.zeros((n * n, n * n), dtype=np.int64)
+    m[0, 1] = 1  # the off-diagonal unit v_0 (x) v_1* onto the diagonal v_0 (x) v_0*
+    op = NilpotentOperator(GFpMatrix(p, m), ModuleSpec(ModuleKind.GL))
+    with pytest.raises(ValueError, match="not invariant"):
+        restrict_to_trace_kernel(op)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_closed_coordinates_match_solve_route(p):
+    # restriction and quotient against solving in the explicit basis
+    for n in range(2, 7):
+        basis = trace_kernel_basis(n, p)
+        if n % p == 0:  # gamma has trace n, so it lies in the kernel
+            gamma = solve_columns(basis, gamma_vector(n, p)).a[:, 0]
+            pivot = int(np.nonzero(gamma)[0][0])
+            line = gamma * pow(int(gamma[pivot]), -1, p) % p
+            keep = [i for i in range(n * n - 1) if i != pivot]
+        for jt in enumerate_partitions(n):
+            for unipotent in (False, True):
+                v = natural_unipotent(jt, p) if unipotent else natural_nilpotent(jt, p).matrix
+                op = lift_to_tensor(v, unipotent=unipotent)
+                sl_op = restrict_to_trace_kernel(op)
+                assert sl_op.matrix == solve_columns(basis, op.matrix @ basis)
+                if n % p == 0:
+                    r = sl_op.matrix.a
+                    want = ((r - np.outer(line, r[pivot])) % p)[np.ix_(keep, keep)]
+                    assert quotient_by_invariant_line(sl_op).matrix == GFpMatrix(p, want)
 
 
 def test_trace_kernel_basis_shape_and_kernel():

@@ -1,8 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanblocks import Family, GroupContext, JordanType, is_admissible
+from jordanblocks.partitions import is_prime
 
 partitions = st.lists(st.integers(1, 7), min_size=1, max_size=6).map(JordanType.from_sizes)
 
@@ -129,6 +132,23 @@ def test_group_context_validation():
         GroupContext(Family.SO, 4, 3)
     with pytest.raises(ValueError):
         GroupContext(Family.SL, 1, 2)
+
+
+def test_group_context_rejects_modulus_above_bound():
+    GroupContext(Family.SL, 5, 3037000493)
+    with pytest.raises(ValueError, match="exceeds 3037000499"):
+        GroupContext(Family.SL, 5, 4294967311)
+
+
+def test_is_prime_memoized_answers_unchanged():
+    def trial_division(m):
+        return m >= 2 and all(m % f for f in range(2, math.isqrt(m) + 1))
+
+    values = [*range(-3, 100), 65521, 65523, 3037000493, 3037000499]
+    is_prime.cache_clear()
+    for _ in range(2):  # computed, then answered from the cache
+        assert [is_prime(m) for m in values] == [trial_division(m) for m in values]
+    assert is_prime.cache_info().hits == len(values)
 
 
 def test_family_parse():
