@@ -171,10 +171,6 @@ class GFpMatrix:
     def transpose(self) -> "GFpMatrix":
         return GFpMatrix(self.p, self.a.T)
 
-    def kron(self, other: "GFpMatrix") -> "GFpMatrix":
-        self._check_field(other)
-        return GFpMatrix(self.p, np.kron(self.a, other.a))
-
     # -- predicates and queries --------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -221,11 +217,6 @@ class GFpMatrix:
         if m.shape != (rows, cols):
             raise ValueError("matrix dump header does not match data")
         return m
-
-
-def hstack(mats: list[GFpMatrix]) -> GFpMatrix:
-    p = mats[0].p
-    return GFpMatrix(p, np.hstack([m.a for m in mats]))
 
 
 def vstack(mats: list[GFpMatrix]) -> GFpMatrix:

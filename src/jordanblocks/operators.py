@@ -16,6 +16,8 @@ The dual action carries the sign ``(e.f)(v) = -f(e v)``, so on V (x) V* a
 nilpotent e acts as ``X -> EX - XE`` under the matrix-unit identification.
 A unipotent u acts by conjugation ``X -> u X u^(-1)``; unipotent operators
 are always returned as (action - identity), since only block sizes matter.
+One function builds the action on a square of V; the exterior and symmetric
+squares are gathers of rows and columns of the V (x) V action.
 """
 
 from __future__ import annotations
@@ -186,11 +188,9 @@ def block_layout(jt: JordanType) -> list[tuple[int, int]]:
 
 
 def _shift_array(jt: JordanType) -> np.ndarray:
-    n = jt.total_dim
-    a = np.zeros((n, n), dtype=np.int64)
-    for size, off in block_layout(jt):
-        for j in range(1, size):
-            a[off + j - 1, off + j] = 1
+    a = np.eye(jt.total_dim, k=1, dtype=np.int64)
+    starts = np.array([off for _, off in block_layout(jt)[1:]], dtype=np.intp)
+    a[starts - 1, starts] = 0  # no shift across a block boundary
     return a
 
 
@@ -212,6 +212,36 @@ def natural_unipotent(jt: JordanType, p: int) -> GFpMatrix:
 # -- lifts to derived modules ---------------------------------------------------
 
 
+def _square_action(m_on_v: GFpMatrix, unipotent: bool, dual: bool) -> np.ndarray:
+    """Action on V (x) V, or on V (x) V* with ``dual``, pairs (i, j) row-major:
+    ``m (x) 1 + 1 (x) m`` for nilpotent m, ``u (x) u`` minus the identity for
+    unipotent u (dual factor ``-m^T``, resp. ``u^(-T)``); products are reduced
+    mod p, so a gather's sum of two entries stays exact in int64."""
+    m = m_on_v.a
+    if unipotent:
+        second = inverse(m_on_v).a.T if dual else m
+        return np.kron(m, second) % m_on_v.p - np.eye(m.size, dtype=np.int64)
+    eye = np.eye(m_on_v.rows, dtype=np.int64)
+    return np.kron(m, eye) + np.kron(eye, -m.T if dual else m)
+
+
+def _quotient_square_action(m_on_v: GFpMatrix, unipotent: bool, sign: int) -> np.ndarray:
+    """Action on the exterior (sign -1, pairs i < j) or symmetric (sign +1,
+    pairs i <= j) square: the column of ``v_a v_b`` is column (a, b) of the
+    V (x) V action, the coordinate of ``v_i v_j`` row (i, j) plus ``sign``
+    times row (j, i), or row (i, i) alone.  Exact because the projection from
+    V (x) V commutes with the action and sends the identity to the identity.
+    """
+    n = m_on_v.rows
+    big = _square_action(m_on_v, unipotent, dual=False)
+    rows, cols = np.triu_indices(n, 1 if sign < 0 else 0)
+    pairs, swapped = rows * n + cols, cols * n + rows
+    mat = big[np.ix_(pairs, pairs)]
+    off = rows != cols
+    mat[off] += sign * big[np.ix_(swapped[off], pairs)]
+    return mat
+
+
 def lift_to_tensor(m_on_v: GFpMatrix, *, unipotent: bool = False) -> NilpotentOperator:
     """Action on V (x) V*, basis pairs (i, j) row-major.
 
@@ -221,43 +251,18 @@ def lift_to_tensor(m_on_v: GFpMatrix, *, unipotent: bool = False) -> NilpotentOp
     """
     if m_on_v.rows != m_on_v.cols:
         raise ValueError("operator on V must be square")
-    n = m_on_v.rows
-    p = m_on_v.p
-    eye = np.eye(n, dtype=np.int64)
-    if unipotent:
-        u = m_on_v.a
-        uinv = inverse(m_on_v).a
-        big = np.kron(u, uinv.T) - np.eye(n * n, dtype=np.int64)
-    else:
-        e = m_on_v.a
-        big = np.kron(e, eye) - np.kron(eye, e.T)
-    return NilpotentOperator(GFpMatrix(p, big), ModuleSpec(ModuleKind.GL))
+    big = _square_action(m_on_v, unipotent, dual=True)
+    return NilpotentOperator(GFpMatrix(m_on_v.p, big), ModuleSpec(ModuleKind.GL))
 
 
 def lift_to_wedge2(m_on_v: GFpMatrix, *, unipotent: bool = False) -> NilpotentOperator:
     """Action on the exterior square, basis ``v_i ^ v_j`` (i < j, lex order)."""
     if m_on_v.rows != m_on_v.cols:
         raise ValueError("operator on V must be square")
-    n = m_on_v.rows
-    if n < 2:
+    if m_on_v.rows < 2:
         raise ValueError("exterior square needs dim V >= 2")
-    p = m_on_v.p
-    rows_idx, cols_idx = np.triu_indices(n, 1)
-    dim = len(rows_idx)
-    mat = np.zeros((dim, dim), dtype=np.int64)
-    m = m_on_v.a
-    for col, (a, b) in enumerate(zip(rows_idx, cols_idx)):
-        if unipotent:
-            d = np.outer(m[:, a], m[:, b])
-        else:
-            d = np.zeros((n, n), dtype=np.int64)
-            d[:, b] += m[:, a]
-            d[a, :] += m[:, b]
-        anti = d - d.T
-        mat[:, col] = anti[rows_idx, cols_idx]
-    if unipotent:
-        mat -= np.eye(dim, dtype=np.int64)
-    return NilpotentOperator(GFpMatrix(p, mat), ModuleSpec(ModuleKind.WEDGE2))
+    mat = _quotient_square_action(m_on_v, unipotent, sign=-1)
+    return NilpotentOperator(GFpMatrix(m_on_v.p, mat), ModuleSpec(ModuleKind.WEDGE2))
 
 
 def lift_to_sym2(m_on_v: GFpMatrix, *, unipotent: bool = False) -> NilpotentOperator:
@@ -269,26 +274,8 @@ def lift_to_sym2(m_on_v: GFpMatrix, *, unipotent: bool = False) -> NilpotentOper
     """
     if m_on_v.rows != m_on_v.cols:
         raise ValueError("operator on V must be square")
-    n = m_on_v.rows
-    p = m_on_v.p
-    rows_idx, cols_idx = np.triu_indices(n, 0)
-    dim = len(rows_idx)
-    mat = np.zeros((dim, dim), dtype=np.int64)
-    m = m_on_v.a
-    diag = np.arange(n)
-    for col, (a, b) in enumerate(zip(rows_idx, cols_idx)):
-        if unipotent:
-            d = np.outer(m[:, a], m[:, b])
-        else:
-            d = np.zeros((n, n), dtype=np.int64)
-            d[:, b] += m[:, a]
-            d[a, :] += m[:, b]
-        sym = d + d.T
-        sym[diag, diag] = d[diag, diag]
-        mat[:, col] = sym[rows_idx, cols_idx]
-    if unipotent:
-        mat -= np.eye(dim, dtype=np.int64)
-    return NilpotentOperator(GFpMatrix(p, mat), ModuleSpec(ModuleKind.SYM2))
+    mat = _quotient_square_action(m_on_v, unipotent, sign=1)
+    return NilpotentOperator(GFpMatrix(m_on_v.p, mat), ModuleSpec(ModuleKind.SYM2))
 
 
 # -- trace-zero subspace and its quotient ---------------------------------------
@@ -296,18 +283,12 @@ def lift_to_sym2(m_on_v: GFpMatrix, *, unipotent: bool = False) -> NilpotentOper
 
 def trace_functional(n: int, p: int) -> GFpMatrix:
     """The row functional sending a tensor coordinate vector to its trace."""
-    row = np.zeros((1, n * n), dtype=np.int64)
-    for i in range(n):
-        row[0, i * n + i] = 1
-    return GFpMatrix(p, row)
+    return GFpMatrix(p, np.eye(n, dtype=np.int64).reshape(1, n * n))
 
 
 def gamma_vector(n: int, p: int) -> GFpMatrix:
     """Coordinates of the invariant vector: sum of all ``v_i (x) v_i*``."""
-    col = np.zeros((n * n, 1), dtype=np.int64)
-    for i in range(n):
-        col[i * n + i, 0] = 1
-    return GFpMatrix(p, col)
+    return trace_functional(n, p).transpose()
 
 
 def restrict_to_trace_kernel(op: NilpotentOperator) -> NilpotentOperator:
@@ -446,9 +427,7 @@ def admissible_witness(jt: JordanType, ctx: GroupContext) -> tuple[GFpMatrix, GF
     x_blocks: list[np.ndarray] = []
     g_blocks: list[np.ndarray] = []
     for size, mult in jt.pairs():
-        shift = np.zeros((size, size), dtype=np.int64)
-        for j in range(1, size):
-            shift[j - 1, j] = 1
+        shift = np.eye(size, k=1, dtype=np.int64)
         if size % 2 == single_parity:
             for _ in range(mult):
                 x_blocks.append(shift)

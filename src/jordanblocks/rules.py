@@ -33,10 +33,7 @@ from .partitions import GroupContext, JordanType, is_prime
 
 
 def _shift(d: int) -> np.ndarray:
-    a = np.zeros((d, d), dtype=np.int64)
-    for j in range(1, d):
-        a[j - 1, j] = 1
-    return a
+    return np.eye(d, k=1, dtype=np.int64)
 
 
 @lru_cache(maxsize=None)

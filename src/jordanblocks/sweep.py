@@ -304,19 +304,18 @@ def _rank_facts_hold(p: int, jt: JordanType) -> bool:
     s = p**val
     nn = n * n
     t = nn - e0.rank()  # number of blocks on the tensor square
-    rank_s = (e0**s).rank()
+    power_prev = e0 ** (s - 1)
+    power = power_prev @ e0
+    rank_s = power.rank()
     if rank_s != nn - s * t:
         return False  # some block smaller than p^valuation
-    rank_s1 = (e0 ** (s + 1)).rank()
+    rank_s1 = (power @ e0).rank()
     if rank_s1 - nn + (s + 1) * t < 1:
         return False  # no block of size exactly p^valuation
     phi = trace_functional(n, p)
-    if s > 1:
-        power_prev = e0 ** (s - 1)
-        if vstack([power_prev, phi]).rank() != power_prev.rank():
-            return False  # kernel of the previous power must sit inside ker(trace)
-    power = e0**s
-    if vstack([power, phi]).rank() != power.rank() + 1:
+    if s > 1 and vstack([power_prev, phi]).rank() != power_prev.rank():
+        return False  # kernel of the previous power must sit inside ker(trace)
+    if vstack([power, phi]).rank() != rank_s + 1:
         return False  # kernel of this power must escape ker(trace)
     return True
 

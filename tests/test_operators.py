@@ -29,7 +29,7 @@ from jordanblocks import (
     quotient_by_invariant_line,
     restrict_to_trace_kernel,
 )
-from jordanblocks.gfp import _row_echelon, nullspace, solve_columns, vstack
+from jordanblocks.gfp import _row_echelon, inverse, nullspace, solve_columns, vstack
 from jordanblocks.operators import (
     _MODULE_ALIASES,
     MODULES,
@@ -191,6 +191,120 @@ def test_odd_p_tensor_splits_into_wedge_and_sym(jt, p):
     split = lift_to_wedge2(e).jordan_type() + lift_to_sym2(e).jordan_type() if jt.total_dim >= 2 else None
     if split is not None:
         assert full == split
+
+
+# -- lifts against per-pair reference constructions --------------------------------
+
+
+def reference_wedge2(m_on_v, unipotent):
+    """The exterior-square action built pair by pair: the image of
+    ``v_a ^ v_b`` as an n x n coefficient array, antisymmetrised."""
+    n = m_on_v.rows
+    rows_idx, cols_idx = np.triu_indices(n, 1)
+    dim = len(rows_idx)
+    mat = np.zeros((dim, dim), dtype=np.int64)
+    m = m_on_v.a
+    for col, (a, b) in enumerate(zip(rows_idx, cols_idx)):
+        if unipotent:
+            d = np.outer(m[:, a], m[:, b])
+        else:
+            d = np.zeros((n, n), dtype=np.int64)
+            d[:, b] += m[:, a]
+            d[a, :] += m[:, b]
+        anti = d - d.T
+        mat[:, col] = anti[rows_idx, cols_idx]
+    if unipotent:
+        mat -= np.eye(dim, dtype=np.int64)
+    return GFpMatrix(m_on_v.p, mat)
+
+
+def reference_sym2(m_on_v, unipotent):
+    """The symmetric-square action built pair by pair: the image of
+    ``v_a v_b`` as an n x n coefficient array, symmetrised off the diagonal."""
+    n = m_on_v.rows
+    rows_idx, cols_idx = np.triu_indices(n, 0)
+    dim = len(rows_idx)
+    mat = np.zeros((dim, dim), dtype=np.int64)
+    m = m_on_v.a
+    diag = np.arange(n)
+    for col, (a, b) in enumerate(zip(rows_idx, cols_idx)):
+        if unipotent:
+            d = np.outer(m[:, a], m[:, b])
+        else:
+            d = np.zeros((n, n), dtype=np.int64)
+            d[:, b] += m[:, a]
+            d[a, :] += m[:, b]
+        sym = d + d.T
+        sym[diag, diag] = d[diag, diag]
+        mat[:, col] = sym[rows_idx, cols_idx]
+    if unipotent:
+        mat -= np.eye(dim, dtype=np.int64)
+    return GFpMatrix(m_on_v.p, mat)
+
+
+def assert_lifts_match_reference(m, unipotent):
+    p, n = m.p, m.rows
+    eye = np.eye(n, dtype=np.int64)
+    if not unipotent:
+        want = np.kron(m.a, eye) - np.kron(eye, m.a.T)
+        assert lift_to_tensor(m).matrix == GFpMatrix(p, want)
+    elif m.rank() == n:  # conjugation needs an invertible u
+        want = np.kron(m.a, inverse(m).a.T) - np.eye(n * n, dtype=np.int64)
+        assert lift_to_tensor(m, unipotent=True).matrix == GFpMatrix(p, want)
+    if n >= 2:
+        assert lift_to_wedge2(m, unipotent=unipotent).matrix == reference_wedge2(m, unipotent)
+    assert lift_to_sym2(m, unipotent=unipotent).matrix == reference_sym2(m, unipotent)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_lifts_match_reference_on_partitions(p):
+    for n in range(1, 8):
+        for jt in enumerate_partitions(n):
+            assert_lifts_match_reference(natural_nilpotent(jt, p).matrix, False)
+            assert_lifts_match_reference(natural_unipotent(jt, p), True)
+
+
+def test_lifts_match_reference_on_witnesses():
+    for family, dims in ((Family.SP, (4, 6, 8)), (Family.SO, (5, 6, 7))):
+        for p in (3, 5):
+            for n in dims:
+                ctx = GroupContext(family, n, p)
+                for jt in enumerate_partitions(n):
+                    if is_admissible(jt, ctx):
+                        x, _ = admissible_witness(jt, ctx)
+                        assert_lifts_match_reference(x, False)
+                        assert_lifts_match_reference(x + GFpMatrix.identity(p, n), True)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_lifts_match_reference_on_random_matrices(p):
+    rng = np.random.default_rng(p)
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        m = GFpMatrix(p, rng.integers(0, p, size=(n, n)))
+        assert_lifts_match_reference(m, False)
+        assert_lifts_match_reference(m, True)
+
+
+def test_square_lifts_exact_at_largest_modulus():
+    # products of residues near p - 1 come close to 2**63, so the symmetric
+    # square's sum of two of them must not wrap
+    p = 3037000493
+    rows = [[p - 1, p - 2, 1], [p - 3, p - 1, p - 5], [2, p - 7, p - 1]]
+    for lift, sign, pairs in (
+        (lift_to_wedge2, -1, list(itertools.combinations(range(3), 2))),
+        (lift_to_sym2, 1, list(itertools.combinations_with_replacement(range(3), 2))),
+    ):
+        want = [
+            [
+                (rows[i][a] * rows[j][b] + (sign * rows[j][a] * rows[i][b] if i != j else 0))
+                % p
+                - (r == c)
+                for c, (a, b) in enumerate(pairs)
+            ]
+            for r, (i, j) in enumerate(pairs)
+        ]
+        assert lift(GFpMatrix(p, rows), unipotent=True).matrix == GFpMatrix(p, want)
 
 
 # -- trace-zero restriction and the quotient ------------------------------------------

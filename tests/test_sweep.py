@@ -8,6 +8,7 @@ import jordanblocks.sweep as sweep_module
 from jordanblocks import (
     DiscrepancyReport,
     Family,
+    GFpMatrix,
     JordanType,
     ModuleKind,
     ModuleSpec,
@@ -151,6 +152,19 @@ def test_lemma_identities_reference_ranges():
     assert verify_lemma_identities(2, 3, 8)
     with pytest.raises(ValueError, match="not prime"):
         verify_lemma_identities(4, 1, 4)
+
+
+def test_rank_facts_can_fail(monkeypatch):
+    # no real operator breaks a rank fact, so break the trace functional: no
+    # kernel escapes the kernel of the zero functional
+    cases = [(3, T("3")), (2, T("2^2")), (2, T("1,2"))]  # s = 3, 2, 1
+    for p, jt in cases:
+        assert sweep_module._rank_facts_hold(p, jt)
+    monkeypatch.setattr(
+        sweep_module, "trace_functional", lambda n, p: GFpMatrix.zeros(p, 1, n * n)
+    )
+    for p, jt in cases:
+        assert not sweep_module._rank_facts_hold(p, jt)
 
 
 def test_binomial_congruence_frozen_example():
