@@ -11,12 +11,12 @@ import json
 import sys
 
 from .operators import ModuleSpec, oracle_type
-from .partitions import Family, GroupContext, JordanType, is_admissible
+from .partitions import Family, GroupContext, JordanType
 from .rules import closed_form_type
 from .sweep import (
     DEFAULT_MODULES,
     SweepConfig,
-    enumerate_partitions,
+    admissible_cases,
     run_sweep,
     verify_lemma_identities,
 )
@@ -25,19 +25,13 @@ EXIT_OK = 0
 EXIT_DISCREPANCY = 1
 EXIT_USAGE = 2
 
-_TABLE_MODULES_DEFAULT = "gl,psl"
 
-
-def _parse_primes(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
-
-
-def _parse_modules(text: str) -> tuple[ModuleSpec, ...]:
-    return tuple(ModuleSpec.parse(x) for x in text.split(",") if x.strip())
-
-
-def _parse_families(text: str) -> tuple[Family, ...]:
-    return tuple(Family.parse(x) for x in text.split(",") if x.strip())
+def _parse_list(option: str, text: str, parse) -> tuple:
+    """Comma separated values of one option; an empty list is an error."""
+    values = tuple(parse(x) for x in text.split(",") if x.strip())
+    if not values:
+        raise ValueError(f"{option} needs at least one value")
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,11 +58,11 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--unipotent", action="store_true", help="query a unipotent element (oracle engine only)")
 
     t = sub.add_parser("table", help="tabulate types over ranges of n and p")
-    t.add_argument("--n-min", type=int, default=None)
-    t.add_argument("--n-max", type=int, default=None)
-    t.add_argument("--primes", default=None, help="comma separated, e.g. 2,3,5")
+    t.add_argument("--n-min", type=int, default=2)
+    t.add_argument("--n-max", type=int, default=5)
+    t.add_argument("--primes", default="2,3,5", help="comma separated (default 2,3,5)")
     t.add_argument("--family", default="SL")
-    t.add_argument("--modules", default=None, help=f"comma separated (default {_TABLE_MODULES_DEFAULT})")
+    t.add_argument("--modules", default="gl,psl", help="comma separated (default gl,psl)")
     t.add_argument(
         "--paper-table",
         action="store_true",
@@ -115,30 +109,24 @@ def _cmd_type(args) -> int:
     return EXIT_DISCREPANCY
 
 
-def _table_rows(n_min, n_max, primes, family, modules, paper_table):
-    for n in range(n_min, n_max + 1):
-        for p in primes:
-            if paper_table and n % p != 0:
-                continue
-            try:
-                ctx = GroupContext(family, n, p)
-            except ValueError:
-                continue
-            for jt in enumerate_partitions(n):
-                if not is_admissible(jt, ctx):
-                    continue
-                types = {str(m): str(closed_form_type(jt, ctx, m)) for m in modules}
-                yield {"family": family.value, "n": n, "p": p, "partition": str(jt), "types": types}
-
-
 def _cmd_table(args, out) -> int:
-    restricted = args.paper_table
-    family = Family.parse(args.family)
-    n_min = args.n_min if args.n_min is not None else 2
-    n_max = args.n_max if args.n_max is not None else 5
-    primes = _parse_primes(args.primes) if args.primes else (2, 3, 5)
-    modules = _parse_modules(args.modules) if args.modules else _parse_modules(_TABLE_MODULES_DEFAULT)
-    rows = list(_table_rows(n_min, n_max, primes, family, modules, restricted))
+    modules = _parse_list("--modules", args.modules, ModuleSpec.parse)
+    cases = admissible_cases(
+        (Family.parse(args.family),),
+        range(args.n_min, args.n_max + 1),
+        _parse_list("--primes", args.primes, int),
+    )
+    rows = [
+        {
+            "family": ctx.family.value,
+            "n": ctx.n,
+            "p": ctx.p,
+            "partition": str(jt),
+            "types": {str(m): str(closed_form_type(jt, ctx, m)) for m in modules},
+        }
+        for ctx, jt in cases
+        if not (args.paper_table and ctx.n % ctx.p)
+    ]
     headers = [str(m) for m in modules]
     if args.format == "json":
         for row in rows:
@@ -176,17 +164,17 @@ def _cmd_table(args, out) -> int:
 
 
 def _cmd_sweep(args, out, err) -> int:
-    families = _parse_families(args.families)
+    families = _parse_list("--families", args.families, Family.parse)
     if args.max_n is not None:
         max_n = args.max_n
     else:
         max_n = 10 if set(families) == {Family.SL} else 8
     if args.primes is not None:
-        primes = _parse_primes(args.primes)
+        primes = _parse_list("--primes", args.primes, int)
     else:
         primes = (2, 3, 5, 7) if set(families) == {Family.SL} else (3, 5, 7)
     if args.modules is not None:
-        modules = _parse_modules(args.modules)
+        modules = _parse_list("--modules", args.modules, ModuleSpec.parse)
     else:
         modules = tuple(m for family in families for m in DEFAULT_MODULES[family])
     cfg = SweepConfig(

@@ -24,9 +24,12 @@ MAX_MODULUS = math.isqrt(_INT64_BOUND - 1)
 
 
 def check_modulus(p: int) -> None:
-    """Refuse a modulus above MAX_MODULUS, where int64 arithmetic could wrap."""
+    """Refuse a modulus that is not prime, or above MAX_MODULUS, where int64
+    arithmetic could wrap."""
     if p > MAX_MODULUS:
         raise ValueError(f"modulus {p} exceeds {MAX_MODULUS}, the largest exact in int64")
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -85,8 +88,6 @@ class GFpMatrix:
     __slots__ = ("p", "a")
 
     def __init__(self, p: int, data):
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
         check_modulus(p)
         arr = np.asarray(data, dtype=np.int64)
         if arr.ndim != 2:

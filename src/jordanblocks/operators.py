@@ -459,10 +459,6 @@ def admissible_witness(jt: JordanType, ctx: GroupContext) -> tuple[GFpMatrix, GF
 
 def validate_query(jt: JordanType, ctx: GroupContext, module: ModuleSpec) -> None:
     """Check a (partition, context, module) query; raises on any violation."""
-    if jt.total_dim != ctx.n:
-        raise ValueError(
-            f"partition of {jt.total_dim} does not match natural dimension {ctx.n}"
-        )
     if not is_admissible(jt, ctx):
         raise ValueError(f"partition {jt} is not admissible for {ctx.family.value}")
     entry = module.entry

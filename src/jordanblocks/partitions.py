@@ -113,11 +113,6 @@ class JordanType:
 
     # -- views ---------------------------------------------------------------
 
-    @property
-    def blocks(self) -> dict[int, int]:
-        """Block sizes mapped to multiplicities (fresh dict)."""
-        return dict(self._blocks)
-
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """Stored ``(size, multiplicity)`` pairs, sizes ascending."""
         return self._blocks
@@ -242,8 +237,6 @@ class GroupContext:
     def __post_init__(self):
         from .gfp import check_modulus  # deferred: gfp imports this module
 
-        if not is_prime(self.p):
-            raise ValueError(f"characteristic {self.p} is not prime")
         check_modulus(self.p)
         if self.family in (Family.SP, Family.SO) and self.p == 2:
             raise ValueError(f"p = 2 is not a good characteristic for {self.family.value}")

@@ -101,13 +101,19 @@ def sym_square_type(jt: JordanType, p: int) -> JordanType:
 # -- the rewriting rules -------------------------------------------------------------
 
 
-def _remove(jt: JordanType, size: int, count: int, why: str) -> JordanType:
-    if jt.multiplicity(size) < count:
+def _shrink(jt: JordanType, size: int, count: int, why: str) -> JordanType:
+    """``count`` blocks of ``size`` replaced by blocks of ``size - 1``; a block
+    of size 1 shrinks to nothing, since JordanType drops size-0 blocks."""
+    have = jt.multiplicity(size)
+    if have < count:
         raise ValueError(
             f"inconsistent input type: {why} needs at least {count} block(s) "
             f"of size {size} in {jt}"
         )
-    return jt - JordanType({size: count})
+    counts = dict(jt.pairs())
+    counts[size] = have - count
+    counts[size - 1] = counts.get(size - 1, 0) + count
+    return JordanType(counts)
 
 
 def sl_type_from_gl(gl_type: JordanType, p: int, valuation: int) -> JordanType:
@@ -119,11 +125,7 @@ def sl_type_from_gl(gl_type: JordanType, p: int, valuation: int) -> JordanType:
     """
     if valuation < 0:
         raise ValueError("valuation must be >= 0")
-    s = p**valuation
-    out = _remove(gl_type, s, 1, "trace-zero restriction")
-    if s > 1:
-        out = out + JordanType({s - 1: 1})
-    return out
+    return _shrink(gl_type, p**valuation, 1, "trace-zero restriction")
 
 
 def psl_type_from_gl(gl_type: JordanType, p: int, n: int, valuation: int) -> JordanType:
@@ -143,12 +145,8 @@ def _middle_factor_type(base: JordanType, p: int, n: int, valuation: int) -> Jor
             raise ValueError(
                 "inconsistent input: positive valuation forces p to divide n"
             )
-        return _remove(base, 1, 1, "one trivial summand")
-    s = p**valuation
-    out = _remove(base, s, 2, "trivial sub and quotient")
-    if s > 1:
-        out = out + JordanType({s - 1: 2})
-    return out
+        return _shrink(base, 1, 1, "one trivial summand")
+    return _shrink(base, p**valuation, 2, "trivial sub and quotient")
 
 
 def irreducible_type_from_base(

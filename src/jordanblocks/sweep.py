@@ -8,16 +8,17 @@ serialize to JSON lines so runs can be diffed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .gfp import GFpMatrix, vstack
+from .gfp import GFpMatrix, check_modulus, vstack
 from .operators import (
     ModuleSpec,
     _OracleSession,
@@ -27,15 +28,13 @@ from .operators import (
     trace_functional,
     validate_query,
 )
-from .partitions import Family, GroupContext, JordanType, is_admissible, is_prime
+from .partitions import Family, GroupContext, JordanType, is_admissible
 from .rules import closed_form_type, unipotent_matches_nilpotent_on_psl
 
 # rank-based lemma facts need elimination on the full tensor-square operator;
 # cap its dimension so the largest vector identities stay matrix-free
 _RANK_FACT_DIM_CAP = 1100
 _PARTITION_FACT_N_CAP = 8
-
-_FAMILY_MIN_N = {Family.SL: 2, Family.SP: 4, Family.SO: 5}
 
 DEFAULT_MODULES = {
     family: tuple(ModuleSpec.parse(name) for name in names)
@@ -91,8 +90,7 @@ class SweepConfig:
         if self.max_n < 2:
             raise ValueError("max_n must be >= 2")
         for p in self.primes:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+            check_modulus(p)
         if any(f in (Family.SP, Family.SO) for f in self.families) and 2 in self.primes:
             raise ValueError("sweeps over Sp or SO require odd primes only")
         if self.threads is not None and self.threads < 1:
@@ -137,23 +135,27 @@ class DiscrepancyReport:
         return (self.family.value, self.n, self.p, str(self.partition), self.module)
 
 
-def _sweep_cases(cfg: SweepConfig) -> list[tuple[Family, int, int, JordanType]]:
-    cases = []
-    for family in cfg.families:
-        for n in range(_FAMILY_MIN_N[family], cfg.max_n + 1):
-            if family is Family.SP and n % 2:
-                continue
-            for p in cfg.primes:
-                try:
-                    ctx = GroupContext(family, n, p)
-                except ValueError:
-                    continue
-                for jt in enumerate_partitions(n):
-                    # admissibility filtering lives here, not in the enumerator
-                    if not is_admissible(jt, ctx):
-                        continue
-                    cases.append((family, n, p, jt))
-    return cases
+def admissible_cases(
+    families: Iterable[Family], ns: Iterable[int], primes: Sequence[int]
+) -> Iterator[tuple[GroupContext, JordanType]]:
+    """Every (context, admissible partition), by family, then n, then p,
+    then partition.
+
+    Every prime passes :func:`check_modulus` before anything is enumerated,
+    so a bad one raises instead of being skipped.  After that the only
+    (family, n, p) skipped are those :class:`GroupContext` rejects: no group
+    of that family in dimension n, or p = 2 for Sp and SO.
+    """
+    for p in primes:
+        check_modulus(p)
+    for family, n, p in itertools.product(families, ns, primes):
+        try:
+            ctx = GroupContext(family, n, p)
+        except ValueError:
+            continue
+        for jt in enumerate_partitions(n):
+            if is_admissible(jt, ctx):
+                yield ctx, jt
 
 
 def _corrupt(jt: JordanType) -> JordanType:
@@ -162,15 +164,14 @@ def _corrupt(jt: JordanType) -> JordanType:
 
 
 def _check_case(
-    cfg: SweepConfig, family: Family, n: int, p: int, jt: JordanType
+    cfg: SweepConfig, ctx: GroupContext, jt: JordanType
 ) -> tuple[list[DiscrepancyReport], int]:
     """Reports for one case, and how many modules it compared."""
-    ctx = GroupContext(family, n, p)
     reports: list[DiscrepancyReport] = []
     compared = 0
 
     def report(module: str, expected: str, actual: str):
-        reports.append(DiscrepancyReport(jt, family, n, p, module, expected, actual))
+        reports.append(DiscrepancyReport(jt, ctx.family, ctx.n, ctx.p, module, expected, actual))
 
     session = _OracleSession(jt, ctx, unipotent=False)
     for module in cfg.modules:
@@ -191,28 +192,20 @@ def _check_case(
         if cfg.fail_fast and reports:
             return reports, compared
 
-    if cfg.unipotent_agreement and family is Family.SL:
+    if cfg.unipotent_agreement and ctx.family is Family.SL:
         usession = _OracleSession(jt, ctx, unipotent=True)
-        pairs = [
-            ("gl:unipotent-agreement", usession.tensor_type, session.tensor_type, True),
-            ("sl:unipotent-agreement", usession.sl_type, session.sl_type, True),
-        ]
-        if n % p == 0:
-            pairs.append(
-                (
-                    "psl:unipotent-agreement",
-                    usession.psl_type,
-                    session.psl_type,
-                    unipotent_matches_nilpotent_on_psl(jt, p, n),
-                )
-            )
-        for label, utype, etype, should_agree in pairs:
-            agree = utype() == etype()
+        # psl differs from sl only when p | n
+        for name in ("gl", "sl", "psl") if ctx.n % ctx.p == 0 else ("gl", "sl"):
+            module = ModuleSpec.parse(name)
+            should_agree = name != "psl" or unipotent_matches_nilpotent_on_psl(jt, ctx.p, ctx.n)
+            utype = usession.type_for(module)
+            etype = session.type_for(module)
+            agree = utype == etype
             if agree != should_agree:
                 report(
-                    label,
+                    f"{name}:unipotent-agreement",
                     "agree" if should_agree else "differ",
-                    f"agree ({utype()})" if agree else f"{utype()} vs {etype()}",
+                    f"agree ({utype})" if agree else f"{utype} vs {etype}",
                 )
             if cfg.fail_fast and reports:
                 return reports, compared
@@ -225,30 +218,23 @@ def run_sweep(cfg: SweepConfig) -> list[DiscrepancyReport]:
     A sweep in which no (case, module) pair passes :func:`validate_query`
     compares nothing, and is an error rather than a clean run.
     """
-    cases = _sweep_cases(cfg)
+    cases = list(admissible_cases(cfg.families, range(2, cfg.max_n + 1), cfg.primes))
     threads = min(cfg.resolved_threads(), os.cpu_count() or 1, max(1, len(cases)))
     reports: list[DiscrepancyReport] = []
     compared = 0
-    if threads == 1:
-        for family, n, p, jt in cases:
-            case_reports, case_compared = _check_case(cfg, family, n, p, jt)
+    # one worker runs on the calling thread; a pool's queued cases are
+    # cancelled however the loop ends (fail-fast, an exception or Ctrl-C)
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    try:
+        results = (pool.map if pool else map)(lambda case: _check_case(cfg, *case), cases)
+        for case_reports, case_compared in results:
             reports.extend(case_reports)
             compared += case_compared
             if cfg.fail_fast and reports:
                 break
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_check_case, cfg, family, n, p, jt)
-                for family, n, p, jt in cases
-            ]
-            for fut in futures:
-                case_reports, case_compared = fut.result()
-                reports.extend(case_reports)
-                compared += case_compared
-                if cfg.fail_fast and reports:
-                    pool.shutdown(cancel_futures=True)
-                    break
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
     if not compared and not reports:
         raise ValueError("sweep compared no (case, module) pair; check families and modules")
     reports.sort(key=DiscrepancyReport.sort_key)
@@ -331,8 +317,7 @@ def verify_lemma_identities(p: int, beta_max: int, n_max: int) -> bool:
     by p, capped at tensor-square operators of dimension 1100 so the large
     vector-identity cases never trigger a huge elimination.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_modulus(p)
     if not _binomial_congruences_hold(p, beta_max):
         return False
     for beta in range(beta_max + 1):

@@ -147,6 +147,34 @@ def test_table_custom_modules(capsys):
     assert out.splitlines()[0].endswith("wedge2\tl_omega2")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("table", "--primes", "4"), "modulus 4 is not prime"),
+        (("table", "--primes", "2,4", "--n-max", "3"), "modulus 4 is not prime"),
+        (("table", "--primes", "4294967311"), "exceeds 3037000499"),
+        (("sweep", "--primes", "3,4294967311", "--max-n", "3"), "exceeds 3037000499"),
+        (("table", "--primes", ""), "--primes needs at least one value"),
+        (("table", "--modules", ""), "--modules needs at least one value"),
+        (("sweep", "--primes", ""), "--primes needs at least one value"),
+        (("sweep", "--modules", ""), "--modules needs at least one value"),
+        (("sweep", "--families", ""), "--families needs at least one value"),
+    ],
+)
+def test_bad_prime_or_empty_list_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_table_sp_default_primes_skip_p_2(capsys):
+    code, out, _ = run_cli(capsys, "table", "--family", "Sp")
+    assert code == 0
+    groups = [line for line in out.splitlines() if line.startswith("n=")]
+    assert groups == ["n=4 p=3", "n=4 p=5"]
+
+
 def test_sweep_clean_run(capsys):
     code, out, err = run_cli(
         capsys, "sweep", "--max-n", "4", "--primes", "2,3", "--modules", "sl,psl"

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 
 import pytest
 
@@ -9,11 +10,13 @@ from jordanblocks import (
     DiscrepancyReport,
     Family,
     GFpMatrix,
+    GroupContext,
     JordanType,
     ModuleKind,
     ModuleSpec,
     SweepConfig,
     enumerate_partitions,
+    is_admissible,
     run_sweep,
     verify_lemma_identities,
 )
@@ -133,12 +136,79 @@ def test_worker_count_capped_by_cpus_and_cases(monkeypatch):
 
     monkeypatch.setattr(sweep_module, "ThreadPoolExecutor", recording_pool)
     cfg = SweepConfig(max_n=3, primes=(2,), threads=10**6)
-    cases = len(sweep_module._sweep_cases(cfg))
+    cases = len(list(sweep_module.admissible_cases(cfg.families, range(2, cfg.max_n + 1), cfg.primes)))
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert run_sweep(cfg) == []
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert run_sweep(cfg) == []
     assert seen == [cases, 3] and cases == 5
+
+
+@pytest.mark.parametrize("fail_fast", [False, True])
+def test_failing_case_stops_threaded_sweep(monkeypatch, fail_fast):
+    cfg = SweepConfig(max_n=7, primes=(2, 3), threads=2, fail_fast=fail_fast)
+    first = next(sweep_module.admissible_cases(cfg.families, range(2, cfg.max_n + 1), cfg.primes))
+    started = []
+
+    def check_case(cfg, ctx, jt):
+        started.append((ctx, jt))
+        if (ctx, jt) != first:
+            time.sleep(0.5)
+            return [], 1
+        if fail_fast:
+            return [DiscrepancyReport(jt, ctx.family, ctx.n, ctx.p, "gl", "1", "2")], 1
+        raise RuntimeError("first case fails")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sweep_module, "_check_case", check_case)
+    if fail_fast:
+        assert len(run_sweep(cfg)) == 1
+    else:
+        with pytest.raises(RuntimeError, match="first case fails"):
+            run_sweep(cfg)
+    # the first case, then at most one case per worker; 86 cases are queued
+    assert len(started) <= 3
+
+
+# the case enumeration as it was written out before `admissible_cases`, kept
+# as the reference: it knows its own dimension bounds
+_FAMILY_MIN_N = {Family.SL: 2, Family.SP: 4, Family.SO: 5}
+
+
+def reference_cases(families, max_n, primes):
+    cases = []
+    for family in families:
+        for n in range(_FAMILY_MIN_N[family], max_n + 1):
+            if family is Family.SP and n % 2:
+                continue
+            for p in primes:
+                try:
+                    ctx = GroupContext(family, n, p)
+                except ValueError:
+                    continue
+                for jt in enumerate_partitions(n):
+                    if not is_admissible(jt, ctx):
+                        continue
+                    cases.append((family, n, p, jt))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "families, primes",
+    [
+        ((Family.SL,), (2, 3, 5, 7)),
+        ((Family.SP,), (3, 5, 7)),
+        ((Family.SO,), (3, 5, 7)),
+        ((Family.SL, Family.SP, Family.SO), (3, 5, 7)),
+    ],
+)
+def test_admissible_cases_match_reference(families, primes):
+    cases = [
+        (ctx.family, ctx.n, ctx.p, jt)
+        for ctx, jt in sweep_module.admissible_cases(families, range(2, 10), primes)
+    ]
+    assert cases == reference_cases(families, 9, primes)
+    assert len(cases) > 0
 
 
 def test_report_sorting_deterministic():
