@@ -27,11 +27,18 @@ EXIT_USAGE = 2
 
 
 def _parse_list(option: str, text: str, parse) -> tuple:
-    """Comma separated values of one option; an empty list is an error."""
-    values = tuple(parse(x) for x in text.split(",") if x.strip())
+    """Comma separated values of one option.  An empty list is an error, and
+    so is a value listed twice, compared after parsing so that aliases such
+    as ``tensor`` and ``gl`` count as one value."""
+    values: list = []
+    for item in filter(None, (x.strip() for x in text.split(","))):
+        value = parse(item)
+        if value in values:
+            raise ValueError(f"{option} lists {item} twice")
+        values.append(value)
     if not values:
         raise ValueError(f"{option} needs at least one value")
-    return values
+    return tuple(values)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,11 +118,14 @@ def _cmd_type(args) -> int:
 
 def _cmd_table(args, out) -> int:
     modules = _parse_list("--modules", args.modules, ModuleSpec.parse)
-    cases = admissible_cases(
-        (Family.parse(args.family),),
-        range(args.n_min, args.n_max + 1),
-        _parse_list("--primes", args.primes, int),
-    )
+    family = Family.parse(args.family)
+    primes = _parse_list("--primes", args.primes, int)
+    cases = list(admissible_cases((family,), range(args.n_min, args.n_max + 1), primes))
+    if not cases:
+        raise ValueError(
+            f"table has no rows: no {family.value} case with n in "
+            f"{args.n_min}..{args.n_max} and p in {','.join(map(str, primes))}"
+        )
     rows = [
         {
             "family": ctx.family.value,

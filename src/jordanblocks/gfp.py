@@ -6,7 +6,9 @@ most (p - 1)**2 + p in absolute value, which stays below 2**63.  Larger
 moduli are refused.  Matrix products are internally routed through float64
 BLAS when the dot products provably fit below 2**53, and otherwise summed in
 int64 over slices of the inner dimension short enough not to wrap; the
-stored representation stays integral either way.
+stored representation stays integral either way.  The rank chain of
+:func:`jordan_type_of_nilpotent` uses no such product: it applies its sparse
+operator by row gathers in int64.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def _row_echelon(arr: np.ndarray, p: int, reduced: bool = False):
         if reduced and r > 0:
             hit = np.concatenate([a[:r, c].nonzero()[0], hit])
         if hit.size:
-            a[hit, c:] = (a[hit, c:] - np.outer(a[hit, c], a[r, c:])) % p
+            a[hit, c:] = (a[hit, c:] - a[hit, c, None] * a[r, c:]) % p
         pivots.append(c)
         r += 1
     return a, pivots
@@ -96,6 +98,18 @@ class GFpMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "a", arr)
+
+    @classmethod
+    def _wrap(cls, p: int, arr: np.ndarray) -> "GFpMatrix":
+        """Wrap, without checking, copying or reducing, an int64 array with
+        entries in [0, p) that no caller holds: one this module built, or a
+        view of another matrix's read-only array.  Arrays from outside go
+        through ``__init__``, so no caller's array is frozen or aliased."""
+        arr.setflags(write=False)
+        m = object.__new__(cls)
+        object.__setattr__(m, "p", p)
+        object.__setattr__(m, "a", arr)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("GFpMatrix is immutable")
@@ -136,7 +150,7 @@ class GFpMatrix:
         self._check_field(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch for product: {self.shape} @ {other.shape}")
-        return GFpMatrix(self.p, _matmul_mod(self.a, other.a, self.p))
+        return GFpMatrix._wrap(self.p, _matmul_mod(self.a, other.a, self.p))
 
     def __add__(self, other: "GFpMatrix") -> "GFpMatrix":
         if not isinstance(other, GFpMatrix):
@@ -170,7 +184,7 @@ class GFpMatrix:
         return result
 
     def transpose(self) -> "GFpMatrix":
-        return GFpMatrix(self.p, self.a.T)
+        return GFpMatrix._wrap(self.p, self.a.T)
 
     # -- predicates and queries --------------------------------------------------
 
@@ -234,7 +248,7 @@ def inverse(m: GFpMatrix) -> GFpMatrix:
     red, pivots = _row_echelon(aug, m.p, reduced=True)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular over GF(p)")
-    return GFpMatrix(m.p, red[:, n:])
+    return GFpMatrix._wrap(m.p, red[:, n:])
 
 
 def nullspace(m: GFpMatrix) -> GFpMatrix:
@@ -274,7 +288,7 @@ def solve_columns(basis: GFpMatrix, rhs: GFpMatrix) -> GFpMatrix:
 def column_space_basis(m: GFpMatrix) -> GFpMatrix:
     """A deterministic basis of the column space, as matrix columns."""
     red, pivots = _row_echelon(m.a.T, m.p)
-    return GFpMatrix(m.p, red[: len(pivots)].T)
+    return GFpMatrix._wrap(m.p, red[: len(pivots)].T)
 
 
 def is_nilpotent(m: GFpMatrix) -> bool:
@@ -297,26 +311,48 @@ def jordan_type_of_nilpotent(m: GFpMatrix) -> JordanType:
 
     Ranks of successive powers are computed on a shrinking chain of image
     bases, which is equivalent to eliminating each power directly but far
-    cheaper.  Non-nilpotent input is an error, caught by the rank chain
-    failing to fall: it signals an operator construction bug, e.g. a wrong
-    sign in a dual action.
+    cheaper.  Each image ``m @ basis`` is built from the nonzeros of ``m``
+    alone: row i is the sum of the basis rows j with m[i, j] != 0, each
+    scaled by m[i, j].  The lifted operators have a few nonzeros per row, so
+    this gathers far fewer terms than a dense product multiplies.  Every
+    term is reduced below p before the sums, which therefore stay below
+    dim * p and are exact in int64.  Non-nilpotent input is an error,
+    caught by the rank chain failing to fall: it signals an operator
+    construction bug, e.g. a wrong sign in a dual action.
     """
     if m.rows != m.cols:
         raise ValueError("matrix not square")
     dim = m.rows
     if dim == 0:
         return JordanType()
+    p = m.p
+    # nonzeros of m in row order; row heads[k] sums the terms from starts[k]
+    rows, cols = np.nonzero(m.a)
+    vals = m.a[rows, cols, None]
+    heads, starts = np.unique(rows, return_index=True)
+
+    # a function, so that no earlier image or its terms stay alive while
+    # the next image is built
+    def image(basis: GFpMatrix) -> GFpMatrix:
+        terms = basis.a[cols]
+        terms *= vals
+        terms %= p
+        sums = np.add.reduceat(terms, starts, axis=0)
+        sums %= p
+        prod = np.zeros((dim, basis.cols), dtype=np.int64)
+        prod[heads] = sums
+        return GFpMatrix._wrap(p, prod)
+
     ranks = [dim]
-    image = m
+    basis = column_space_basis(m)
     while True:
-        basis = column_space_basis(image)
         r = basis.cols
         if r >= ranks[-1] and r > 0:
             raise ValueError("matrix not nilpotent")  # rank chain must strictly decrease
         ranks.append(r)
         if r == 0:
             break
-        image = m @ basis
+        basis = column_space_basis(image(basis))
     counts: dict[int, int] = {}
     for size in range(1, len(ranks)):
         after = ranks[size + 1] if size + 1 < len(ranks) else 0

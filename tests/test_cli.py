@@ -159,6 +159,14 @@ def test_table_custom_modules(capsys):
         (("sweep", "--primes", ""), "--primes needs at least one value"),
         (("sweep", "--modules", ""), "--modules needs at least one value"),
         (("sweep", "--families", ""), "--families needs at least one value"),
+        (("table", "--primes", "3,3"), "--primes lists 3 twice"),
+        (("table", "--modules", "tensor,gl"), "--modules lists gl twice"),
+        (("sweep", "--max-n", "4", "--primes", "3,3", "--mutate"), "--primes lists 3 twice"),
+        (("sweep", "--families", "SL,sl"), "--families lists sl twice"),
+        (("table", "--n-min", "6", "--n-max", "5"), "no SL case with n in 6..5 and p in 2,3,5"),
+        (("table", "--n-min", "0", "--n-max", "1"), "no SL case with n in 0..1"),
+        (("table", "--family", "Sp", "--n-min", "3", "--n-max", "3", "--primes", "3"),
+         "no Sp case with n in 3..3 and p in 3"),
     ],
 )
 def test_bad_prime_or_empty_list_exits_2(capsys, argv, message):

@@ -25,6 +25,18 @@ def shift(p, d):
     return GFpMatrix(p, a)
 
 
+def test_init_copies_and_results_are_read_only():
+    arr = np.array([[1, 2], [0, 1]], dtype=np.int64)
+    m = GFpMatrix(5, arr)
+    arr[0, 0] = 4
+    assert m.a.tolist() == [[1, 2], [0, 1]]
+    assert arr.flags.writeable
+    for result in (m, m @ m, m.transpose(), inverse(m), column_space_basis(m)):
+        assert not result.a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            result.a[0, 0] = 3
+
+
 def test_entries_reduced():
     m = GFpMatrix(3, [[4, -1], [9, 5]])
     assert m.a.tolist() == [[1, 2], [0, 2]]
@@ -218,6 +230,74 @@ def test_jordan_type_rejects_non_nilpotent():
         jordan_type_of_nilpotent(GFpMatrix.zeros(3, 2, 3))
     assert not is_nilpotent(GFpMatrix.identity(3, 2))
     assert is_nilpotent(shift(3, 4))
+
+
+def _dense_jordan_type(m):
+    """Reference: the rank chain with the dense product ``m @ basis``."""
+    ranks = [m.rows]
+    image = m
+    while True:
+        basis = column_space_basis(image)
+        if basis.cols >= ranks[-1] and basis.cols > 0:
+            raise ValueError("matrix not nilpotent")
+        ranks.append(basis.cols)
+        if basis.cols == 0:
+            break
+        image = m @ basis
+    ranks.append(0)
+    counts = {k: ranks[k - 1] - 2 * ranks[k] + ranks[k + 1] for k in range(1, len(ranks) - 1)}
+    return JordanType({k: c for k, c in counts.items() if c})
+
+
+def _conjugated_shift(sizes, p, conjugator, rng, unit=0):
+    """Block shift of the given sizes, plus a 1 x 1 block ``unit`` when it is
+    nonzero, conjugated by a sparse unitriangular or a dense invertible matrix."""
+    n = sum(sizes) + (unit != 0)
+    a = np.zeros((n, n), dtype=np.int64)
+    start = 0
+    for d in sizes:
+        a[start : start + d, start : start + d] = np.eye(d, k=1, dtype=np.int64)
+        start += d
+    a[n - 1, n - 1] += unit
+    if conjugator == "sparse":  # about 10% of the entries above the diagonal
+        upper = rng.integers(1, p, size=(n, n)) * (rng.random((n, n)) < 0.1)
+        g = np.triu(upper, 1) + np.eye(n, dtype=np.int64)
+    else:  # a dense lower times a dense upper unitriangular matrix
+        lower = np.tril(rng.integers(0, p, size=(n, n)), -1) + np.eye(n, dtype=np.int64)
+        upper = np.triu(rng.integers(0, p, size=(n, n)), 1) + np.eye(n, dtype=np.int64)
+        g = (GFpMatrix(p, lower) @ GFpMatrix(p, upper)).a
+    g = GFpMatrix(p, g)
+    return g @ GFpMatrix(p, a) @ inverse(g)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(1, 12), min_size=1, max_size=8).map(
+        lambda sizes: [d for i, d in enumerate(sizes) if sum(sizes[: i + 1]) <= 23]
+    ),
+    st.sampled_from([2, 3, 5, 7, 65521]),
+    st.sampled_from(["sparse", "dense"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_jordan_type_matches_dense_reference(sizes, p, conjugator, seed):
+    rng = np.random.default_rng(seed)
+    m = _conjugated_shift(sizes, p, conjugator, rng)
+    want = JordanType.from_sizes(sizes)
+    assert _dense_jordan_type(m) == jordan_type_of_nilpotent(m) == want
+    unit = int(rng.integers(1, p))
+    not_nilpotent = _conjugated_shift(sizes, p, conjugator, rng, unit=unit)
+    with pytest.raises(ValueError, match="not nilpotent"):
+        jordan_type_of_nilpotent(not_nilpotent)
+
+
+def test_jordan_type_exact_at_largest_modulus():
+    # entries near p - 1: each term of the product is close to 2**63
+    p = LARGEST_PRIME
+    rng = np.random.default_rng(5)
+    upper = GFpMatrix(p, np.triu(p - 1 - rng.integers(0, 3, size=(12, 12)), 1))
+    assert jordan_type_of_nilpotent(upper) == _dense_jordan_type(upper) == JordanType({12: 1})
+    m = _conjugated_shift([4, 3, 3, 1], p, "dense", rng)
+    assert jordan_type_of_nilpotent(m) == _dense_jordan_type(m) == JordanType.parse("1,3^2,4")
 
 
 partitions = st.lists(st.integers(1, 6), min_size=1, max_size=5).map(JordanType.from_sizes)
