@@ -88,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--check-lemmas", action="store_true", help="also verify the explicit identities")
     s.add_argument("--beta-max", type=int, default=2, help="identity depth for --check-lemmas")
     s.add_argument("--lemma-n-max", type=int, default=12, help="dimension bound for --check-lemmas")
-    s.add_argument("--threads", type=int, default=None, help="default JORDANBLOCKS_THREADS or 1")
     return parser
 
 
@@ -195,7 +194,6 @@ def _cmd_sweep(args, out, err) -> int:
         fail_fast=args.fail_fast,
         unipotent_agreement=args.unipotent_checks,
         mutate=args.mutate,
-        threads=args.threads,
     )
     reports = run_sweep(cfg)
     for report in reports:

@@ -91,7 +91,12 @@ class GFpMatrix:
 
     def __init__(self, p: int, data):
         check_modulus(p)
-        arr = np.asarray(data, dtype=np.int64)
+        arr = np.asarray(data)
+        if arr.dtype.kind not in "iub":
+            raise ValueError(f"matrix data must be integer or bool, got dtype {arr.dtype}")
+        if arr.dtype.kind == "u":
+            arr = arr % np.uint64(p)  # uint64 values above 2**63 would wrap in int64
+        arr = arr.astype(np.int64, copy=False)
         if arr.ndim != 2:
             raise ValueError("matrix data must be two-dimensional")
         arr = np.mod(arr, p)
@@ -210,28 +215,6 @@ class GFpMatrix:
 
     def __repr__(self) -> str:
         return f"GFpMatrix(p={self.p}, shape={self.shape})"
-
-    # -- plain text dump ---------------------------------------------------------
-
-    def to_text(self) -> str:
-        """Dump: header line ``p rows cols``, then one row per line."""
-        lines = [f"{self.p} {self.rows} {self.cols}"]
-        lines.extend(" ".join(str(int(x)) for x in row) for row in self.a)
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "GFpMatrix":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty matrix dump")
-        p, rows, cols = (int(x) for x in lines[0].split())
-        if len(lines) != rows + 1:
-            raise ValueError("matrix dump has wrong number of rows")
-        data = [[int(x) for x in ln.split()] for ln in lines[1:]]
-        m = cls(p, data)
-        if m.shape != (rows, cols):
-            raise ValueError("matrix dump header does not match data")
-        return m
 
 
 def vstack(mats: list[GFpMatrix]) -> GFpMatrix:

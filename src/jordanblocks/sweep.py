@@ -11,8 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -73,8 +71,8 @@ class SweepConfig:
     ``unipotent_agreement`` adds the unipotent-versus-nilpotent comparison
     checks.  ``mutate`` deliberately corrupts the rule outputs; a sweep under
     mutation must report discrepancies, which is the harness sensitivity
-    check.  ``threads`` defaults to the JORDANBLOCKS_THREADS environment
-    variable, then 1; a run uses at most one worker per CPU and per case.
+    check.  A sweep runs on the calling thread; ``threads`` is kept for
+    callers that pass 1 and refuses any other value.
     """
 
     max_n: int
@@ -84,7 +82,7 @@ class SweepConfig:
     fail_fast: bool = False
     unipotent_agreement: bool = False
     mutate: bool = False
-    threads: int | None = None
+    threads: int = 1
 
     def __post_init__(self):
         if self.max_n < 2:
@@ -93,16 +91,10 @@ class SweepConfig:
             check_modulus(p)
         if any(f in (Family.SP, Family.SO) for f in self.families) and 2 in self.primes:
             raise ValueError("sweeps over Sp or SO require odd primes only")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
-
-    def resolved_threads(self) -> int:
-        if self.threads is not None:
-            return self.threads
-        env = os.environ.get("JORDANBLOCKS_THREADS") or "1"
-        if not (env.isdigit() and int(env) >= 1):
-            raise ValueError(f"JORDANBLOCKS_THREADS must be a positive integer, got {env!r}")
-        return int(env)
+        if self.threads != 1:
+            raise ValueError(
+                f"threads must be 1, got {self.threads}: a sweep runs on the calling thread"
+            )
 
 
 @dataclass(frozen=True)
@@ -189,8 +181,6 @@ def _check_case(
             actual = f"oracle failure: {exc}"
         if str(expected) != actual:
             report(str(module), str(expected), actual)
-        if cfg.fail_fast and reports:
-            return reports, compared
 
     if cfg.unipotent_agreement and ctx.family is Family.SL:
         usession = _OracleSession(jt, ctx, unipotent=True)
@@ -207,40 +197,30 @@ def _check_case(
                     "agree" if should_agree else "differ",
                     f"agree ({utype})" if agree else f"{utype} vs {etype}",
                 )
-            if cfg.fail_fast and reports:
-                return reports, compared
     return reports, compared
 
 
 def run_sweep(cfg: SweepConfig) -> list[DiscrepancyReport]:
     """Run every configured comparison; empty result means full agreement.
 
-    A sweep in which no (case, module) pair passes :func:`validate_query`
-    compares nothing, and is an error rather than a clean run.
+    Cases run one after another on the calling thread.  Under ``fail_fast``
+    the sweep stops after the first case that reports, and returns that
+    case's first report in sort order.  A sweep in which no (case, module)
+    pair passes :func:`validate_query` compares nothing, and is an error
+    rather than a clean run.
     """
-    cases = list(admissible_cases(cfg.families, range(2, cfg.max_n + 1), cfg.primes))
-    threads = min(cfg.resolved_threads(), os.cpu_count() or 1, max(1, len(cases)))
     reports: list[DiscrepancyReport] = []
     compared = 0
-    # one worker runs on the calling thread; a pool's queued cases are
-    # cancelled however the loop ends (fail-fast, an exception or Ctrl-C)
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        results = (pool.map if pool else map)(lambda case: _check_case(cfg, *case), cases)
-        for case_reports, case_compared in results:
-            reports.extend(case_reports)
-            compared += case_compared
-            if cfg.fail_fast and reports:
-                break
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
+    for ctx, jt in admissible_cases(cfg.families, range(2, cfg.max_n + 1), cfg.primes):
+        case_reports, case_compared = _check_case(cfg, ctx, jt)
+        reports.extend(case_reports)
+        compared += case_compared
+        if cfg.fail_fast and reports:
+            break
     if not compared and not reports:
         raise ValueError("sweep compared no (case, module) pair; check families and modules")
     reports.sort(key=DiscrepancyReport.sort_key)
-    if cfg.fail_fast and reports:
-        return reports[:1]
-    return reports
+    return reports[:1] if cfg.fail_fast else reports
 
 
 # -- explicit identity checks -----------------------------------------------------
@@ -315,9 +295,16 @@ def verify_lemma_identities(p: int, beta_max: int, n_max: int) -> bool:
     rank-based smallest-block and kernel-containment facts run for regular
     blocks of size p^beta and for every partition of every n <= 8 divisible
     by p, capped at tensor-square operators of dimension 1100 so the large
-    vector-identity cases never trigger a huge elimination.
+    vector-identity cases never trigger a huge elimination.  Bounds that
+    leave no nontrivial case (beta_max < 0, or n_max < 2) are an error
+    rather than a pass.
     """
     check_modulus(p)
+    if beta_max < 0 or n_max < 2:
+        raise ValueError(
+            f"lemma bounds beta_max={beta_max}, n_max={n_max} check nothing; "
+            "need beta_max >= 0 and n_max >= 2"
+        )
     if not _binomial_congruences_hold(p, beta_max):
         return False
     for beta in range(beta_max + 1):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from jordanblocks import JordanType
+from jordanblocks import JordanType, SweepConfig
 from jordanblocks.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "reference_table.txt"
@@ -167,6 +167,8 @@ def test_table_custom_modules(capsys):
         (("table", "--n-min", "0", "--n-max", "1"), "no SL case with n in 0..1"),
         (("table", "--family", "Sp", "--n-min", "3", "--n-max", "3", "--primes", "3"),
          "no Sp case with n in 3..3 and p in 3"),
+        (("sweep", "--max-n", "2", "--primes", "3", "--check-lemmas",
+          "--beta-max", "-3", "--lemma-n-max", "-5"), "check nothing"),
     ],
 )
 def test_bad_prime_or_empty_list_exits_2(capsys, argv, message):
@@ -205,14 +207,15 @@ def test_sweep_that_compares_nothing_exits_2(capsys, argv):
     assert "compared no" in err
 
 
-def test_sweep_bad_thread_count_exits_2(capsys, monkeypatch):
-    code, _, err = run_cli(capsys, "sweep", "--max-n", "3", "--primes", "2", "--threads", "0")
-    assert code == 2
-    assert "threads must be >= 1" in err
-    monkeypatch.setenv("JORDANBLOCKS_THREADS", "abc")
-    code, _, err = run_cli(capsys, "sweep", "--max-n", "3", "--primes", "2")
-    assert code == 2
-    assert "JORDANBLOCKS_THREADS" in err
+def test_sweep_bad_thread_count_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--max-n", "3", "--primes", "2", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    for threads in (0, 2):
+        with pytest.raises(ValueError, match="runs on the calling thread"):
+            SweepConfig(max_n=3, primes=(2,), threads=threads)
+    assert SweepConfig(max_n=3, primes=(2,), threads=1).threads == 1
 
 
 def test_sweep_mutation_reports_and_exit(capsys):

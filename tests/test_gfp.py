@@ -46,6 +46,29 @@ def test_entries_reduced():
         GFpMatrix(3, [1, 2, 3])
 
 
+@pytest.mark.parametrize(
+    "data, dtype",
+    [
+        ([[0.5, 2.7]], "float64"),
+        (np.array([[1e30]]), "float64"),
+        (np.array([[1.0]], dtype=np.float32), "float32"),
+        (np.array([[1 + 0j]]), "complex128"),
+        ([[2**70]], "object"),
+        ([["1"]], "<U1"),
+    ],
+)
+def test_non_integer_data_refused(data, dtype):
+    with pytest.raises(ValueError, match=f"dtype {dtype}"):
+        GFpMatrix(5, data)
+
+
+def test_integer_and_bool_data_accepted():
+    assert GFpMatrix(5, np.array([[True, False]])).a.tolist() == [[1, 0]]
+    assert GFpMatrix(5, np.array([[7, 255]], dtype=np.uint8)).a.tolist() == [[2, 0]]
+    assert GFpMatrix(5, np.array([[2**64 - 1]], dtype=np.uint64)).a.tolist() == [[0]]
+    assert GFpMatrix(5, np.array([[-1]], dtype=np.int8)).a.tolist() == [[4]]
+
+
 def test_matmul_identity_and_shapes():
     m = GFpMatrix(5, [[1, 2], [3, 4]])
     assert GFpMatrix.identity(5, 2) @ m == m
@@ -319,12 +342,3 @@ def test_stacking():
     a = GFpMatrix(3, [[1, 2]])
     b = GFpMatrix(3, [[0, 1]])
     assert vstack([a, b]).shape == (2, 2)
-
-
-def test_text_dump_roundtrip():
-    m = GFpMatrix(7, [[1, 2, 3], [4, 5, 6]])
-    text = m.to_text()
-    assert text.splitlines()[0] == "7 2 3"
-    assert GFpMatrix.from_text(text) == m
-    with pytest.raises(ValueError):
-        GFpMatrix.from_text("7 2 3\n1 2 3\n")

@@ -717,10 +717,3 @@ def test_exhaustive_small_lie_algebra_types_are_admissible(family, n):
         assert T("2,3") not in realized
     else:
         assert T("1,3") not in realized
-
-
-def test_operator_matrix_dump_roundtrip():
-    op = lift_to_tensor(natural_nilpotent(T("1,2"), 3).matrix)
-    dumped = op.matrix.to_text()
-    assert GFpMatrix.from_text(dumped) == op.matrix
-    assert dumped.splitlines()[0] == "3 9 9"

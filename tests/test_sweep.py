@@ -1,7 +1,6 @@
 import json
 import math
-import os
-import time
+import threading
 
 import pytest
 
@@ -104,70 +103,40 @@ def test_mutation_with_fail_fast_stops_at_one():
     assert len(run_sweep(cfg)) == 1
 
 
-def test_threaded_sweep_matches_serial():
-    serial = SweepConfig(max_n=5, primes=(2, 3), threads=1)
-    threaded = SweepConfig(max_n=5, primes=(2, 3), threads=4)
-    assert run_sweep(serial) == run_sweep(threaded)
-    mutated = SweepConfig(max_n=4, primes=(2,), mutate=True, threads=4)
-    assert run_sweep(mutated) == run_sweep(
-        SweepConfig(max_n=4, primes=(2,), mutate=True, threads=1)
-    )
-
-
-def test_threads_env_variable(monkeypatch):
-    monkeypatch.setenv("JORDANBLOCKS_THREADS", "3")
-    assert SweepConfig(max_n=4, primes=(2,)).resolved_threads() == 3
-    monkeypatch.delenv("JORDANBLOCKS_THREADS")
-    assert SweepConfig(max_n=4, primes=(2,)).resolved_threads() == 1
-    assert SweepConfig(max_n=4, primes=(2,), threads=2).resolved_threads() == 2
-    for value in ("abc", "-3", "0", "2.5"):
-        monkeypatch.setenv("JORDANBLOCKS_THREADS", value)
-        with pytest.raises(ValueError, match="JORDANBLOCKS_THREADS"):
-            SweepConfig(max_n=4, primes=(2,)).resolved_threads()
-
-
-def test_worker_count_capped_by_cpus_and_cases(monkeypatch):
-    seen = []
-    real_pool = sweep_module.ThreadPoolExecutor
-
-    def recording_pool(max_workers):
-        seen.append(max_workers)
-        return real_pool(max_workers=min(max_workers, 2))
-
-    monkeypatch.setattr(sweep_module, "ThreadPoolExecutor", recording_pool)
-    cfg = SweepConfig(max_n=3, primes=(2,), threads=10**6)
-    cases = len(list(sweep_module.admissible_cases(cfg.families, range(2, cfg.max_n + 1), cfg.primes)))
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert run_sweep(cfg) == []
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert run_sweep(cfg) == []
-    assert seen == [cases, 3] and cases == 5
-
-
 @pytest.mark.parametrize("fail_fast", [False, True])
-def test_failing_case_stops_threaded_sweep(monkeypatch, fail_fast):
-    cfg = SweepConfig(max_n=7, primes=(2, 3), threads=2, fail_fast=fail_fast)
+def test_failing_case_stops_sweep(monkeypatch, fail_fast):
+    cfg = SweepConfig(max_n=7, primes=(2, 3), fail_fast=fail_fast)
     first = next(sweep_module.admissible_cases(cfg.families, range(2, cfg.max_n + 1), cfg.primes))
     started = []
 
     def check_case(cfg, ctx, jt):
         started.append((ctx, jt))
-        if (ctx, jt) != first:
-            time.sleep(0.5)
-            return [], 1
-        if fail_fast:
-            return [DiscrepancyReport(jt, ctx.family, ctx.n, ctx.p, "gl", "1", "2")], 1
-        raise RuntimeError("first case fails")
+        if not fail_fast:
+            raise RuntimeError("first case fails")
+        return [
+            DiscrepancyReport(jt, ctx.family, ctx.n, ctx.p, module, "1", "2")
+            for module in ("sl", "gl")
+        ], 2
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(sweep_module, "_check_case", check_case)
     if fail_fast:
-        assert len(run_sweep(cfg)) == 1
+        # the case's first report in sort order, not in report order
+        [report] = run_sweep(cfg)
+        assert report.module == "gl"
     else:
         with pytest.raises(RuntimeError, match="first case fails"):
             run_sweep(cfg)
-    # the first case, then at most one case per worker; 86 cases are queued
-    assert len(started) <= 3
+    # 86 cases are admissible; the first one stops the sweep
+    assert started == [first]
+
+
+def test_sweep_starts_no_thread(monkeypatch):
+    def refuse(thread):
+        raise AssertionError("a sweep started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert run_sweep(SweepConfig(max_n=4, primes=(2, 3))) == []
+    assert len(run_sweep(SweepConfig(max_n=4, primes=(2,), mutate=True, fail_fast=True))) == 1
 
 
 # the case enumeration as it was written out before `admissible_cases`, kept
@@ -222,6 +191,11 @@ def test_lemma_identities_reference_ranges():
     assert verify_lemma_identities(2, 3, 8)
     with pytest.raises(ValueError, match="not prime"):
         verify_lemma_identities(4, 1, 4)
+    # bounds under which every check is empty are refused, not passed
+    for beta_max, n_max in ((-3, -5), (-1, 12), (2, 1)):
+        with pytest.raises(ValueError, match="check nothing"):
+            verify_lemma_identities(3, beta_max, n_max)
+    assert verify_lemma_identities(3, 0, 2)
 
 
 def test_rank_facts_can_fail(monkeypatch):
