@@ -12,8 +12,6 @@ from .gfp import GFpMatrix, jordan_type_of_nilpotent
 from .operators import (
     DecompositionError,
     DistinguishedVectors,
-    Isogeny,
-    ModuleKind,
     ModuleSpec,
     NilpotentOperator,
     admissible_witness,
@@ -57,9 +55,7 @@ __all__ = [
     "Family",
     "GFpMatrix",
     "GroupContext",
-    "Isogeny",
     "JordanType",
-    "ModuleKind",
     "ModuleSpec",
     "NilpotentOperator",
     "SweepConfig",

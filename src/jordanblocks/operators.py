@@ -33,23 +33,37 @@ from .gfp import GFpMatrix, inverse, jordan_type_of_nilpotent
 from .partitions import Family, GroupContext, JordanType, is_admissible
 
 
-class ModuleKind(Enum):
+class ModuleSpec(Enum):
+    """A module the operators act on; the value is its name."""
+
     NATURAL = "v"
     GL = "gl"  # V (x) V*
-    TENSOR = "gl"  # alias of GL
     WEDGE2 = "wedge2"
     SYM2 = "sym2"
     SL = "sl"
     PSL = "psl"
     SP_OMEGA2 = "l_omega2"  # irreducible Sp module of highest weight w2
     SO_2OMEGA1 = "l_2omega1"  # irreducible SO module of highest weight 2w1
-    ADJOINT = "adjoint"
+    # the adjoint module of SL for each isogeny type
+    ADJOINT_SC = "adjoint-sc"  # simply connected
+    ADJOINT_AD = "adjoint-ad"  # adjoint group
+    ADJOINT_INT = "adjoint-int"  # intermediate
 
+    def __str__(self) -> str:
+        return self.value
 
-class Isogeny(Enum):
-    SIMPLY_CONNECTED = "sc"
-    ADJOINT_GROUP = "ad"
-    INTERMEDIATE = "int"
+    @property
+    def entry(self) -> ModuleEntry:
+        return MODULES[self]
+
+    @classmethod
+    def parse(cls, text: str) -> ModuleSpec:
+        key = text.strip().lower()
+        try:
+            return cls(_MODULE_ALIASES.get(key, key))
+        except ValueError:
+            names = sorted([*(m.value for m in cls), *_MODULE_ALIASES])
+            raise ValueError(f"unknown module {text!r}; expected one of {names}") from None
 
 
 class Rewrite(Enum):
@@ -75,74 +89,49 @@ class ModuleEntry:
     """
 
     family: Family | None
-    base: ModuleKind
+    base: ModuleSpec
     rewrite: Rewrite
     oracle: Callable[["_OracleSession"], JordanType]
     p_power: int = 0
 
 
-# the one description of every module; to add one, add a row (and a
-# ModuleKind or Isogeny member for its name)
+# the one description of every module, one row per ModuleSpec member; to add
+# a module, add a member and its row
 MODULES = {
-    "v": ModuleEntry(None, ModuleKind.NATURAL, Rewrite.NONE, lambda s: s.jt),
-    "gl": ModuleEntry(None, ModuleKind.GL, Rewrite.NONE, lambda s: s.tensor_type()),
-    "wedge2": ModuleEntry(None, ModuleKind.WEDGE2, Rewrite.NONE, lambda s: s.wedge_type()),
-    "sym2": ModuleEntry(None, ModuleKind.SYM2, Rewrite.NONE, lambda s: s.sym_type()),
-    "sl": ModuleEntry(None, ModuleKind.GL, Rewrite.TRACE_ZERO, lambda s: s.sl_type()),
-    "psl": ModuleEntry(None, ModuleKind.GL, Rewrite.MIDDLE, lambda s: s.psl_type()),
-    # the irreducible factors, split off psl by the other square
-    "l_omega2": ModuleEntry(
-        Family.SP, ModuleKind.WEDGE2, Rewrite.MIDDLE, lambda s: s.psl_without(s.sym_type())
+    ModuleSpec.NATURAL: ModuleEntry(None, ModuleSpec.NATURAL, Rewrite.NONE, lambda s: s.jt),
+    ModuleSpec.GL: ModuleEntry(None, ModuleSpec.GL, Rewrite.NONE, lambda s: s.tensor_type()),
+    ModuleSpec.WEDGE2: ModuleEntry(
+        None, ModuleSpec.WEDGE2, Rewrite.NONE, lambda s: s.wedge_type()
     ),
-    "l_2omega1": ModuleEntry(
-        Family.SO, ModuleKind.SYM2, Rewrite.MIDDLE, lambda s: s.psl_without(s.wedge_type())
+    ModuleSpec.SYM2: ModuleEntry(None, ModuleSpec.SYM2, Rewrite.NONE, lambda s: s.sym_type()),
+    ModuleSpec.SL: ModuleEntry(None, ModuleSpec.GL, Rewrite.TRACE_ZERO, lambda s: s.sl_type()),
+    ModuleSpec.PSL: ModuleEntry(None, ModuleSpec.GL, Rewrite.MIDDLE, lambda s: s.psl_type()),
+    # the irreducible factors, split off psl by the other square
+    ModuleSpec.SP_OMEGA2: ModuleEntry(
+        Family.SP, ModuleSpec.WEDGE2, Rewrite.MIDDLE, lambda s: s.psl_without(s.sym_type())
+    ),
+    ModuleSpec.SO_2OMEGA1: ModuleEntry(
+        Family.SO, ModuleSpec.SYM2, Rewrite.MIDDLE, lambda s: s.psl_without(s.wedge_type())
     ),
     # simply connected and adjoint isogeny types both carry the trace-zero
     # type (the adjoint one through duality)
-    "adjoint-sc": ModuleEntry(Family.SL, ModuleKind.GL, Rewrite.TRACE_ZERO, lambda s: s.sl_type()),
-    "adjoint-ad": ModuleEntry(Family.SL, ModuleKind.GL, Rewrite.TRACE_ZERO, lambda s: s.sl_type()),
-    "adjoint-int": ModuleEntry(
+    ModuleSpec.ADJOINT_SC: ModuleEntry(
+        Family.SL, ModuleSpec.GL, Rewrite.TRACE_ZERO, lambda s: s.sl_type()
+    ),
+    ModuleSpec.ADJOINT_AD: ModuleEntry(
+        Family.SL, ModuleSpec.GL, Rewrite.TRACE_ZERO, lambda s: s.sl_type()
+    ),
+    ModuleSpec.ADJOINT_INT: ModuleEntry(
         Family.SL,
-        ModuleKind.GL,
+        ModuleSpec.GL,
         Rewrite.MIDDLE_PLUS_TRIVIAL,
         lambda s: s.psl_type() + JordanType({1: 1}),
         p_power=2,
     ),
 }
 
+# other names ModuleSpec.parse accepts, each for the member it names
 _MODULE_ALIASES = {"natural": "v", "tensor": "gl", "vxv*": "gl", "vxv": "gl"}
-
-
-@dataclass(frozen=True)
-class ModuleSpec:
-    """Symbolic name of a module the operators act on."""
-
-    kind: ModuleKind
-    isogeny: Isogeny | None = None
-
-    def __post_init__(self):
-        if (self.kind is ModuleKind.ADJOINT) != (self.isogeny is not None):
-            raise ValueError("isogeny tag is required exactly for the adjoint module")
-
-    def __str__(self) -> str:
-        if self.kind is ModuleKind.ADJOINT:
-            return f"adjoint-{self.isogeny.value}"
-        return self.kind.value
-
-    @property
-    def entry(self) -> ModuleEntry:
-        return MODULES[str(self)]
-
-    @classmethod
-    def parse(cls, text: str) -> "ModuleSpec":
-        key = text.strip().lower()
-        key = _MODULE_ALIASES.get(key, key)
-        if key not in MODULES:
-            raise ValueError(
-                f"unknown module {text!r}; expected one of {sorted([*MODULES, *_MODULE_ALIASES])}"
-            )
-        kind, _, tag = key.partition("-")
-        return cls(ModuleKind(kind), Isogeny(tag) if tag else None)
 
 
 class DecompositionError(ValueError):
@@ -198,7 +187,7 @@ def natural_nilpotent(jt: JordanType, p: int) -> NilpotentOperator:
     """Block-diagonal shift of the given Jordan type acting on V."""
     if not jt:
         raise ValueError("empty Jordan type has no natural operator")
-    return NilpotentOperator(GFpMatrix(p, _shift_array(jt)), ModuleSpec(ModuleKind.NATURAL))
+    return NilpotentOperator(GFpMatrix(p, _shift_array(jt)), ModuleSpec.NATURAL)
 
 
 def natural_unipotent(jt: JordanType, p: int) -> GFpMatrix:
@@ -252,7 +241,7 @@ def lift_to_tensor(m_on_v: GFpMatrix, *, unipotent: bool = False) -> NilpotentOp
     if m_on_v.rows != m_on_v.cols:
         raise ValueError("operator on V must be square")
     big = _square_action(m_on_v, unipotent, dual=True)
-    return NilpotentOperator(GFpMatrix(m_on_v.p, big), ModuleSpec(ModuleKind.GL))
+    return NilpotentOperator(GFpMatrix(m_on_v.p, big), ModuleSpec.GL)
 
 
 def lift_to_wedge2(m_on_v: GFpMatrix, *, unipotent: bool = False) -> NilpotentOperator:
@@ -262,7 +251,7 @@ def lift_to_wedge2(m_on_v: GFpMatrix, *, unipotent: bool = False) -> NilpotentOp
     if m_on_v.rows < 2:
         raise ValueError("exterior square needs dim V >= 2")
     mat = _quotient_square_action(m_on_v, unipotent, sign=-1)
-    return NilpotentOperator(GFpMatrix(m_on_v.p, mat), ModuleSpec(ModuleKind.WEDGE2))
+    return NilpotentOperator(GFpMatrix(m_on_v.p, mat), ModuleSpec.WEDGE2)
 
 
 def lift_to_sym2(m_on_v: GFpMatrix, *, unipotent: bool = False) -> NilpotentOperator:
@@ -275,7 +264,7 @@ def lift_to_sym2(m_on_v: GFpMatrix, *, unipotent: bool = False) -> NilpotentOper
     if m_on_v.rows != m_on_v.cols:
         raise ValueError("operator on V must be square")
     mat = _quotient_square_action(m_on_v, unipotent, sign=1)
-    return NilpotentOperator(GFpMatrix(m_on_v.p, mat), ModuleSpec(ModuleKind.SYM2))
+    return NilpotentOperator(GFpMatrix(m_on_v.p, mat), ModuleSpec.SYM2)
 
 
 # -- trace-zero subspace and its quotient ---------------------------------------
@@ -298,7 +287,7 @@ def restrict_to_trace_kernel(op: NilpotentOperator) -> NilpotentOperator:
     and the coordinates of a trace-zero vector are its off-diagonal entries
     followed by the partial sums of its diagonal; the full sum is its trace.
     """
-    if op.module.kind is not ModuleKind.GL:
+    if op.module is not ModuleSpec.GL:
         raise ValueError("input must act on V (x) V*")
     n = math.isqrt(op.dim)
     if n * n != op.dim:
@@ -311,7 +300,7 @@ def restrict_to_trace_kernel(op: NilpotentOperator) -> NilpotentOperator:
     if sums[-1].any():
         raise ValueError("trace-zero subspace is not invariant: an image has nonzero trace")
     restricted = GFpMatrix(op.p, np.vstack([images[off], sums[:-1]]))
-    return NilpotentOperator(restricted, ModuleSpec(ModuleKind.SL))
+    return NilpotentOperator(restricted, ModuleSpec.SL)
 
 
 def quotient_by_invariant_line(op_on_kernel: NilpotentOperator) -> NilpotentOperator:
@@ -321,7 +310,7 @@ def quotient_by_invariant_line(op_on_kernel: NilpotentOperator) -> NilpotentOper
     nonzero trace, the quotient is isomorphic to the trace-zero subspace
     itself, and calling this is an error.
     """
-    if op_on_kernel.module.kind is not ModuleKind.SL:
+    if op_on_kernel.module is not ModuleSpec.SL:
         raise ValueError("input must act on the trace-zero subspace")
     dim = op_on_kernel.dim
     n = math.isqrt(dim + 1)
@@ -344,7 +333,7 @@ def quotient_by_invariant_line(op_on_kernel: NilpotentOperator) -> NilpotentOper
     reduced = (r - np.outer(coords, r[pivot, :])) % p
     keep = [i for i in range(dim) if i != pivot]
     q = reduced[np.ix_(keep, keep)]
-    return NilpotentOperator(GFpMatrix(p, q), ModuleSpec(ModuleKind.PSL))
+    return NilpotentOperator(GFpMatrix(p, q), ModuleSpec.PSL)
 
 
 # -- distinguished vectors -------------------------------------------------------

@@ -19,7 +19,6 @@ import numpy as np
 
 from .gfp import GFpMatrix, jordan_type_of_nilpotent
 from .operators import (
-    ModuleKind,
     ModuleSpec,
     Rewrite,
     lift_to_sym2,
@@ -166,10 +165,10 @@ def irreducible_type_from_base(
 
 
 _BASE_TYPES = {
-    ModuleKind.NATURAL: lambda jt, p: jt,
-    ModuleKind.GL: tensor_square_type,
-    ModuleKind.WEDGE2: wedge_square_type,
-    ModuleKind.SYM2: sym_square_type,
+    ModuleSpec.NATURAL: lambda jt, p: jt,
+    ModuleSpec.GL: tensor_square_type,
+    ModuleSpec.WEDGE2: wedge_square_type,
+    ModuleSpec.SYM2: sym_square_type,
 }
 
 

@@ -35,12 +35,9 @@ _RANK_FACT_DIM_CAP = 1100
 _PARTITION_FACT_N_CAP = 8
 
 DEFAULT_MODULES = {
-    family: tuple(ModuleSpec.parse(name) for name in names)
-    for family, names in (
-        (Family.SL, ("sl", "psl")),
-        (Family.SP, ("l_omega2",)),
-        (Family.SO, ("l_2omega1",)),
-    )
+    Family.SL: (ModuleSpec.SL, ModuleSpec.PSL),
+    Family.SP: (ModuleSpec.SP_OMEGA2,),
+    Family.SO: (ModuleSpec.SO_2OMEGA1,),
 }
 
 
@@ -185,15 +182,17 @@ def _check_case(
     if cfg.unipotent_agreement and ctx.family is Family.SL:
         usession = _OracleSession(jt, ctx, unipotent=True)
         # psl differs from sl only when p | n
-        for name in ("gl", "sl", "psl") if ctx.n % ctx.p == 0 else ("gl", "sl"):
-            module = ModuleSpec.parse(name)
-            should_agree = name != "psl" or unipotent_matches_nilpotent_on_psl(jt, ctx.p, ctx.n)
+        modules = (ModuleSpec.GL, ModuleSpec.SL, ModuleSpec.PSL)
+        for module in modules if ctx.n % ctx.p == 0 else modules[:2]:
+            should_agree = module is not ModuleSpec.PSL or unipotent_matches_nilpotent_on_psl(
+                jt, ctx.p, ctx.n
+            )
             utype = usession.type_for(module)
             etype = session.type_for(module)
             agree = utype == etype
             if agree != should_agree:
                 report(
-                    f"{name}:unipotent-agreement",
+                    f"{module}:unipotent-agreement",
                     "agree" if should_agree else "differ",
                     f"agree ({utype})" if agree else f"{utype} vs {etype}",
                 )

@@ -13,7 +13,6 @@ from jordanblocks import (
     Family,
     GroupContext,
     JordanType,
-    ModuleKind,
     ModuleSpec,
     SweepConfig,
     closed_form_type,
@@ -35,9 +34,9 @@ from jordanblocks import (
 )
 from jordanblocks.operators import _OracleSession
 
-PSL = ModuleSpec(ModuleKind.PSL)
-SL = ModuleSpec(ModuleKind.SL)
-GL = ModuleSpec(ModuleKind.TENSOR)
+PSL = ModuleSpec.PSL
+SL = ModuleSpec.SL
+GL = ModuleSpec.GL
 
 
 def T(text):
@@ -127,13 +126,13 @@ def test_criterion_3_sp_so_irreducible_sweeps():
             max_n=8,
             primes=(3, 5, 7),
             families=(Family.SP,),
-            modules=(ModuleSpec(ModuleKind.SP_OMEGA2),),
+            modules=(ModuleSpec.SP_OMEGA2,),
         )
         so = SweepConfig(
             max_n=8,
             primes=(3, 5, 7),
             families=(Family.SO,),
-            modules=(ModuleSpec(ModuleKind.SO_2OMEGA1),),
+            modules=(ModuleSpec.SO_2OMEGA1,),
         )
         assert run_sweep(sp) == []
         assert run_sweep(so) == []
@@ -261,8 +260,8 @@ def test_criterion_8_structural_invariants():
         # never fail across the admissible Sp and SO ranges
         count = 0
         for family, module, dims in (
-            (Family.SP, ModuleSpec(ModuleKind.SP_OMEGA2), (4, 6, 8)),
-            (Family.SO, ModuleSpec(ModuleKind.SO_2OMEGA1), (5, 6, 7, 8)),
+            (Family.SP, ModuleSpec.SP_OMEGA2, (4, 6, 8)),
+            (Family.SO, ModuleSpec.SO_2OMEGA1, (5, 6, 7, 8)),
         ):
             for n in dims:
                 for p in (3, 5, 7):

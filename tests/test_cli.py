@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from jordanblocks import JordanType, SweepConfig
+from jordanblocks import cli
 from jordanblocks.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "reference_table.txt"
@@ -239,6 +240,17 @@ def test_sweep_check_lemmas(capsys):
     )
     assert code == 0
     assert "lemma identities OK" in err
+
+
+def test_sweep_lemma_bounds_fail_before_the_sweep(capsys, monkeypatch):
+    def no_sweep(cfg):
+        raise AssertionError("the sweep ran before the lemma bounds were checked")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    code, out, err = run_cli(capsys, "sweep", "--check-lemmas", "--beta-max", "-1")
+    assert code == 2
+    assert out == ""
+    assert "check nothing" in err
 
 
 def test_module_entry_point_runs():

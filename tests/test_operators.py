@@ -10,9 +10,7 @@ from jordanblocks import (
     Family,
     GFpMatrix,
     GroupContext,
-    Isogeny,
     JordanType,
-    ModuleKind,
     ModuleSpec,
     NilpotentOperator,
     admissible_witness,
@@ -385,7 +383,7 @@ def test_restrict_rejects_non_invariant_operator():
     n, p = 3, 5
     m = np.zeros((n * n, n * n), dtype=np.int64)
     m[0, 1] = 1  # the off-diagonal unit v_0 (x) v_1* onto the diagonal v_0 (x) v_0*
-    op = NilpotentOperator(GFpMatrix(p, m), ModuleSpec(ModuleKind.GL))
+    op = NilpotentOperator(GFpMatrix(p, m), ModuleSpec.GL)
     with pytest.raises(ValueError, match="not invariant"):
         restrict_to_trace_kernel(op)
 
@@ -518,58 +516,63 @@ def test_distinguished_vectors_divisibility_error():
 
 
 def test_oracle_reference_values():
-    assert oracle_type(T("2,3"), GroupContext(Family.SL, 5, 5), ModuleSpec(ModuleKind.PSL)) == T(
+    assert oracle_type(T("2,3"), GroupContext(Family.SL, 5, 5), ModuleSpec.PSL) == T(
         "2^2,3^2,4^2,5"
     )
     assert oracle_type(
-        T("1^4"), GroupContext(Family.SP, 4, 3), ModuleSpec(ModuleKind.SP_OMEGA2)
+        T("1^4"), GroupContext(Family.SP, 4, 3), ModuleSpec.SP_OMEGA2
     ) == T("1^5")
-    assert oracle_type(T("2,3"), GroupContext(Family.SL, 5, 3), ModuleSpec(ModuleKind.NATURAL)) == T("2,3")
+    assert oracle_type(T("2,3"), GroupContext(Family.SL, 5, 3), ModuleSpec.NATURAL) == T("2,3")
 
 
 def test_oracle_psl_without_p_dividing_n_is_trace_zero_type():
     ctx = GroupContext(Family.SL, 5, 3)
-    out = oracle_types(T("2,3"), ctx, [ModuleSpec(ModuleKind.SL), ModuleSpec(ModuleKind.PSL)])
-    assert out[ModuleSpec(ModuleKind.SL)] == out[ModuleSpec(ModuleKind.PSL)]
+    out = oracle_types(T("2,3"), ctx, [ModuleSpec.SL, ModuleSpec.PSL])
+    assert out[ModuleSpec.SL] == out[ModuleSpec.PSL]
 
 
 def test_oracle_adjoint_modules():
     ctx = GroupContext(Family.SL, 4, 2)
-    sl_t = oracle_type(T("1^4"), ctx, ModuleSpec(ModuleKind.SL))
-    psl_t = oracle_type(T("1^4"), ctx, ModuleSpec(ModuleKind.PSL))
-    assert oracle_type(T("1^4"), ctx, ModuleSpec(ModuleKind.ADJOINT, Isogeny.SIMPLY_CONNECTED)) == sl_t
-    assert oracle_type(T("1^4"), ctx, ModuleSpec(ModuleKind.ADJOINT, Isogeny.ADJOINT_GROUP)) == sl_t
+    sl_t = oracle_type(T("1^4"), ctx, ModuleSpec.SL)
+    psl_t = oracle_type(T("1^4"), ctx, ModuleSpec.PSL)
+    assert oracle_type(T("1^4"), ctx, ModuleSpec.ADJOINT_SC) == sl_t
+    assert oracle_type(T("1^4"), ctx, ModuleSpec.ADJOINT_AD) == sl_t
     assert oracle_type(
-        T("1^4"), ctx, ModuleSpec(ModuleKind.ADJOINT, Isogeny.INTERMEDIATE)
+        T("1^4"), ctx, ModuleSpec.ADJOINT_INT
     ) == psl_t + JordanType({1: 1})
 
 
 def test_oracle_validation_errors():
     with pytest.raises(ValueError, match="not admissible"):
-        oracle_type(T("3,1"), GroupContext(Family.SP, 4, 3), ModuleSpec(ModuleKind.SP_OMEGA2))
+        oracle_type(T("3,1"), GroupContext(Family.SP, 4, 3), ModuleSpec.SP_OMEGA2)
     with pytest.raises(ValueError, match="family Sp"):
-        oracle_type(T("2,3"), GroupContext(Family.SL, 5, 3), ModuleSpec(ModuleKind.SP_OMEGA2))
+        oracle_type(T("2,3"), GroupContext(Family.SL, 5, 3), ModuleSpec.SP_OMEGA2)
     with pytest.raises(ValueError, match="p\\^2 dividing n"):
         oracle_type(
             T("1^6"),
             GroupContext(Family.SL, 6, 2),
-            ModuleSpec(ModuleKind.ADJOINT, Isogeny.INTERMEDIATE),
+            ModuleSpec.ADJOINT_INT,
         )
     with pytest.raises(ValueError, match="does not match"):
-        oracle_type(T("2"), GroupContext(Family.SL, 3, 2), ModuleSpec(ModuleKind.SL))
+        oracle_type(T("2"), GroupContext(Family.SL, 3, 2), ModuleSpec.SL)
 
 
 def test_module_spec_parse_and_str():
-    assert ModuleSpec.parse("psl") == ModuleSpec(ModuleKind.PSL)
-    assert ModuleSpec.parse("VxV*") == ModuleSpec(ModuleKind.TENSOR)
-    assert ModuleKind.TENSOR is ModuleKind.GL
+    assert ModuleSpec.parse("psl") is ModuleSpec.PSL
+    assert ModuleSpec.parse("VxV*") is ModuleSpec.GL
     assert str(ModuleSpec.parse("tensor")) == "gl"
-    assert ModuleSpec.parse("adjoint-int") == ModuleSpec(ModuleKind.ADJOINT, Isogeny.INTERMEDIATE)
+    assert ModuleSpec.parse("adjoint-int") is ModuleSpec.ADJOINT_INT
     assert str(ModuleSpec.parse("adjoint-sc")) == "adjoint-sc"
     with pytest.raises(ValueError, match="unknown module"):
         ModuleSpec.parse("spin")
-    with pytest.raises(ValueError, match="isogeny tag"):
-        ModuleSpec(ModuleKind.SL, Isogeny.ADJOINT_GROUP)
+    # one enum names every module, and the table has one row per member
+    assert set(MODULES) == set(ModuleSpec)
+    for module in ModuleSpec:
+        assert ModuleSpec.parse(str(module)) is module
+        assert f"{module}" == module.value
+        assert module.entry is MODULES[module]
+    for alias, name in _MODULE_ALIASES.items():
+        assert ModuleSpec.parse(alias) is ModuleSpec(name)
 
 
 # one small admissible query per family, with p^2 | n for SL (adjoint-int)
@@ -589,7 +592,7 @@ _ONLY_FAMILY = {
 
 
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
-@pytest.mark.parametrize("name", sorted([*MODULES, *_MODULE_ALIASES]))
+@pytest.mark.parametrize("name", sorted([*(m.value for m in ModuleSpec), *_MODULE_ALIASES]))
 def test_module_table_entry_families_and_engines(name, family):
     module = ModuleSpec.parse(name)
     ctx, jt = _TABLE_QUERIES[family]
@@ -602,7 +605,7 @@ def test_module_table_entry_families_and_engines(name, family):
 
 
 def test_nilpotent_operator_validation():
-    op = NilpotentOperator(GFpMatrix.identity(3, 2), ModuleSpec(ModuleKind.NATURAL))
+    op = NilpotentOperator(GFpMatrix.identity(3, 2), ModuleSpec.NATURAL)
     with pytest.raises(ValueError, match="not nilpotent"):
         op.jordan_type()
 

@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 from jordanblocks import (
     Family,
     GroupContext,
-    Isogeny,
     JordanType,
-    ModuleKind,
     ModuleSpec,
     closed_form_type,
     irreducible_type_from_base,
@@ -148,7 +146,7 @@ def test_irreducible_rule_matches_oracle_sp6():
     ctx = GroupContext(Family.SP, 6, 3)
     base = wedge_square_type(jt, 3)
     by_rule = irreducible_type_from_base(base, 3, 6, jt.gcd_valuation(3))
-    assert by_rule == oracle_type(jt, ctx, ModuleSpec(ModuleKind.SP_OMEGA2))
+    assert by_rule == oracle_type(jt, ctx, ModuleSpec.SP_OMEGA2)
 
 
 # -- full pipeline --------------------------------------------------------------------
@@ -156,20 +154,20 @@ def test_irreducible_rule_matches_oracle_sp6():
 
 def test_pipeline_reference_rows():
     ctx5 = GroupContext(Family.SL, 5, 5)
-    assert closed_form_type(T("1,4"), ctx5, ModuleSpec(ModuleKind.PSL)) == T("4^2,5^3")
-    assert closed_form_type(T("1^3,2"), ctx5, ModuleSpec(ModuleKind.PSL)) == T("1^8,2^6,3")
+    assert closed_form_type(T("1,4"), ctx5, ModuleSpec.PSL) == T("4^2,5^3")
+    assert closed_form_type(T("1^3,2"), ctx5, ModuleSpec.PSL) == T("1^8,2^6,3")
     ctx2 = GroupContext(Family.SL, 2, 2)
-    assert closed_form_type(T("2"), ctx2, ModuleSpec(ModuleKind.PSL)) == T("1^2")
+    assert closed_form_type(T("2"), ctx2, ModuleSpec.PSL) == T("1^2")
 
 
 def test_pipeline_modules_against_oracle_spot():
     cases = [
-        (T("1,2"), GroupContext(Family.SL, 3, 3), ModuleSpec(ModuleKind.SL)),
-        (T("2,4"), GroupContext(Family.SL, 6, 2), ModuleSpec(ModuleKind.PSL)),
-        (T("1^2,2^2"), GroupContext(Family.SP, 6, 3), ModuleSpec(ModuleKind.SP_OMEGA2)),
-        (T("1,2^2"), GroupContext(Family.SO, 5, 5), ModuleSpec(ModuleKind.SO_2OMEGA1)),
-        (T("4"), GroupContext(Family.SL, 4, 2), ModuleSpec(ModuleKind.ADJOINT, Isogeny.INTERMEDIATE)),
-        (T("2,3"), GroupContext(Family.SL, 5, 7), ModuleSpec(ModuleKind.WEDGE2)),
+        (T("1,2"), GroupContext(Family.SL, 3, 3), ModuleSpec.SL),
+        (T("2,4"), GroupContext(Family.SL, 6, 2), ModuleSpec.PSL),
+        (T("1^2,2^2"), GroupContext(Family.SP, 6, 3), ModuleSpec.SP_OMEGA2),
+        (T("1,2^2"), GroupContext(Family.SO, 5, 5), ModuleSpec.SO_2OMEGA1),
+        (T("4"), GroupContext(Family.SL, 4, 2), ModuleSpec.ADJOINT_INT),
+        (T("2,3"), GroupContext(Family.SL, 5, 7), ModuleSpec.WEDGE2),
     ]
     for jt, ctx, module in cases:
         assert closed_form_type(jt, ctx, module) == oracle_type(jt, ctx, module), (jt, ctx, module)
@@ -177,9 +175,9 @@ def test_pipeline_modules_against_oracle_spot():
 
 def test_pipeline_validates_inputs():
     with pytest.raises(ValueError, match="not admissible"):
-        closed_form_type(T("3,1"), GroupContext(Family.SP, 4, 3), ModuleSpec(ModuleKind.SP_OMEGA2))
+        closed_form_type(T("3,1"), GroupContext(Family.SP, 4, 3), ModuleSpec.SP_OMEGA2)
     with pytest.raises(ValueError, match="family SO"):
-        closed_form_type(T("2,3"), GroupContext(Family.SL, 5, 3), ModuleSpec(ModuleKind.SO_2OMEGA1))
+        closed_form_type(T("2,3"), GroupContext(Family.SL, 5, 3), ModuleSpec.SO_2OMEGA1)
 
 
 # -- unipotent agreement predicate ------------------------------------------------------
@@ -201,6 +199,6 @@ def test_agreement_predicate_against_oracle(p):
             continue
         for jt in enumerate_partitions(n):
             ctx = GroupContext(Family.SL, n, p)
-            u_type = oracle_type(jt, ctx, ModuleSpec(ModuleKind.PSL), unipotent=True)
-            e_type = oracle_type(jt, ctx, ModuleSpec(ModuleKind.PSL))
+            u_type = oracle_type(jt, ctx, ModuleSpec.PSL, unipotent=True)
+            e_type = oracle_type(jt, ctx, ModuleSpec.PSL)
             assert (u_type == e_type) == unipotent_matches_nilpotent_on_psl(jt, p, n), jt

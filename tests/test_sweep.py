@@ -11,7 +11,6 @@ from jordanblocks import (
     GFpMatrix,
     GroupContext,
     JordanType,
-    ModuleKind,
     ModuleSpec,
     SweepConfig,
     enumerate_partitions,
@@ -69,13 +68,13 @@ def test_small_sp_and_so_sweeps_are_clean():
         max_n=6,
         primes=(3, 5),
         families=(Family.SP,),
-        modules=(ModuleSpec(ModuleKind.SP_OMEGA2),),
+        modules=(ModuleSpec.SP_OMEGA2,),
     )
     so = SweepConfig(
         max_n=6,
         primes=(3, 5),
         families=(Family.SO,),
-        modules=(ModuleSpec(ModuleKind.SO_2OMEGA1),),
+        modules=(ModuleSpec.SO_2OMEGA1,),
     )
     assert run_sweep(sp) == []
     assert run_sweep(so) == []
