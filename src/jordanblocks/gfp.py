@@ -1,18 +1,23 @@
-"""Dense exact linear algebra over prime fields GF(p).
+"""Exact linear algebra over prime fields GF(p): dense storage, elimination
+on sparse rows.
 
-Residues are stored in int64 arrays and every operation reduces mod p, so
-all results are exact as long as p <= MAX_MODULUS: every intermediate is at
-most (p - 1)**2 + p in absolute value, which stays below 2**63.  Larger
-moduli are refused.  Matrix products are internally routed through float64
-BLAS when the dot products provably fit below 2**53, and otherwise summed in
-int64 over slices of the inner dimension short enough not to wrap; the
-stored representation stays integral either way.  The rank chain of
+Matrices are stored as dense int64 arrays of residues and every operation
+reduces mod p, so all results are exact as long as p <= MAX_MODULUS: every
+int64 intermediate is at most (p - 1)**2 + p in absolute value, which stays
+below 2**63.  Larger moduli are refused.  Gaussian elimination works on
+each row's nonzeros, held as a dict of Python integers, and writes its
+echelon form back into one dense int64 array.  Matrix products are
+internally routed through float64 BLAS when the dot products provably fit
+below 2**53, and otherwise summed in int64 over slices of the inner
+dimension short enough not to wrap; the stored representation stays
+integral either way.  The rank chain of
 :func:`jordan_type_of_nilpotent` uses no such product: it applies its sparse
 operator by row gathers in int64.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -51,37 +56,71 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _row_echelon(arr: np.ndarray, p: int, reduced: bool = False):
-    """Elimination on a copy of ``arr`` (entries in [0, p)); returns
-    (echelon, pivot cols).
+    """Gaussian elimination of ``arr`` (entries in [0, p)); returns a new
+    int64 echelon array and the pivot columns.
 
-    A pivot updates only the rows with a nonzero entry in its column, and
-    only from its column on: rows at or below it are zero to its left.  The
-    lifted operators stay sparse, so most rows need no update at all.
+    Each row is a ``{column: residue}`` dict of its nonzeros, in Python
+    integers.  A heap of (leading column, row position) entries yields the
+    next pivot column and, in order, every row at or below the pivot
+    position that starts there, so a column without a pivot costs nothing.
+    The first of those rows is the pivot: it swaps places with the row at
+    the pivot position and is normalised, and only the other rows, plus with
+    ``reduced`` the rows above that have a nonzero in its column, are
+    updated, each on its nonzeros alone.  A row moved or updated is pushed
+    again under its new lead; the entry it leaves behind names a position
+    above the next pivot, or was popped, so stale entries are skipped.
     """
-    a = np.array(arr, dtype=np.int64)
-    rows, cols = a.shape
+    arr = np.asarray(arr)
+    n_rows, n_cols = arr.shape
+    nz_rows, nz_cols = np.nonzero(arr)
+    rows: list[dict[int, int]] = [{} for _ in range(n_rows)]
+    for i, k, v in zip(nz_rows.tolist(), nz_cols.tolist(), arr[nz_rows, nz_cols].tolist()):
+        rows[i][k] = v
+    # np.nonzero is row-major, so each row's first key is its leading column
+    heap = [(next(iter(row)), pos) for pos, row in enumerate(rows) if row]
+    heapq.heapify(heap)
+
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = a[r:, c].nonzero()[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
+    while heap:
+        c, i = heapq.heappop(heap)
+        if i < r:
+            continue  # stale: a pivot row holds that position now
+        hits = []
+        while heap and heap[0][0] == c:
+            h = heapq.heappop(heap)[1]
+            if h >= r:
+                hits.append(h)
+        pivot = rows[i]
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
+            moved = rows[r]  # starts right of c: a row at r starting at c would be the pivot
+            rows[r], rows[i] = pivot, moved
+            if moved:
+                heapq.heappush(heap, (min(moved), i))
+        inv = pow(pivot[c], -1, p)
         if inv != 1:
-            a[r, c:] = (a[r, c:] * inv) % p
-        hit = r + nz[1:]  # rows below with a nonzero in column c; the swap put a zero at i
-        if reduced and r > 0:
-            hit = np.concatenate([a[:r, c].nonzero()[0], hit])
-        if hit.size:
-            a[hit, c:] = (a[hit, c:] - a[hit, c, None] * a[r, c:]) % p
+            pivot = rows[r] = {k: v * inv % p for k, v in pivot.items()}
+        if reduced:
+            hits.extend(h for h in range(r) if c in rows[h])
+        tail = [(k, v) for k, v in pivot.items() if k != c]
+        for h in hits:
+            row = rows[h]
+            f = row.pop(c)
+            for k, v in tail:
+                x = (row.get(k, 0) - f * v) % p
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]  # x == 0 needs row[k] == f * v != 0
+            if h > r and row:
+                heapq.heappush(heap, (min(row), h))
         pivots.append(c)
         r += 1
-    return a, pivots
+
+    out = np.zeros((n_rows, n_cols), dtype=np.int64)
+    flat = [pos * n_cols + k for pos, row in enumerate(rows) for k in row]
+    out.flat[flat] = [v for row in rows for v in row.values()]
+    return out, pivots
 
 
 class GFpMatrix:

@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 
 class Family(Enum):

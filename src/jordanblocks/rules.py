@@ -7,8 +7,8 @@ Sp and SO.  They are pure partition arithmetic, no matrices.
 
 Base types themselves come from the block decomposition of the tensor,
 exterior and symmetric squares into pairwise pieces, each pairwise piece
-being computed once per (sizes, p) by exact rank and memoized.  The cache
-may be shared across threads: a race at worst recomputes an entry.
+being computed once per (sizes, p) by exact rank and memoized for the life
+of the process; every sweep fills the caches on the calling thread.
 """
 
 from __future__ import annotations

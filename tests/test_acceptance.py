@@ -7,8 +7,6 @@ tolerances are the stated wall-clock bounds.
 
 import time
 
-import pytest
-
 from jordanblocks import (
     Family,
     GroupContext,
@@ -24,7 +22,6 @@ from jordanblocks import (
     natural_nilpotent,
     natural_unipotent,
     oracle_type,
-    oracle_types,
     run_sweep,
     sym_square_type,
     tensor_square_type,

@@ -3,7 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jordanblocks import GFpMatrix, JordanType, jordan_type_of_nilpotent
+from jordanblocks import (
+    GFpMatrix,
+    JordanType,
+    enumerate_partitions,
+    jordan_type_of_nilpotent,
+    lift_to_sym2,
+    lift_to_tensor,
+    lift_to_wedge2,
+    natural_nilpotent,
+    natural_unipotent,
+)
 from jordanblocks.partitions import is_prime
 from jordanblocks.gfp import (
     MAX_MODULUS,
@@ -125,12 +135,16 @@ def _dense_row_echelon(arr, p, reduced=False):
     return a, pivots
 
 
+# the largest prime the int64 kernels admit
+LARGEST_PRIME = 3037000493
+
+
 @settings(max_examples=300)
 @given(
     st.integers(0, 24),
     st.integers(0, 24),
-    st.sampled_from([2, 3, 5, 7, 65521]),
-    st.sampled_from(["dense", "sparse", "low-rank"]),
+    st.sampled_from([2, 3, 5, 7, 65521, LARGEST_PRIME]),
+    st.sampled_from(["dense", "sparse", "low-rank", "lifted"]),
     st.booleans(),
     st.integers(0, 2**32 - 1),
 )
@@ -140,20 +154,24 @@ def test_row_echelon_matches_dense_reference(rows, cols, p, kind, reduced, seed)
         a = rng.integers(0, p, size=(rows, cols))
     elif kind == "sparse":  # at most 5% nonzero
         a = rng.integers(1, p, size=(rows, cols)) * (rng.random((rows, cols)) < 0.05)
-    else:
+    elif kind == "low-rank":
         k = int(rng.integers(0, 4))
         a = rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols)) % p
-    a[rng.random(rows) < 0.2] = 0
-    a[:, rng.random(cols) < 0.2] = 0
+    else:  # what the rank chain eliminates: a transposed operator on a square of V
+        parts = list(enumerate_partitions(int(rng.integers(2, 7))))
+        jt = parts[int(rng.integers(len(parts)))]
+        unipotent = bool(rng.integers(2))
+        m = natural_unipotent(jt, p) if unipotent else natural_nilpotent(jt, p).matrix
+        lift = [lift_to_tensor, lift_to_wedge2, lift_to_sym2][int(rng.integers(3))]
+        a = lift(m, unipotent=unipotent).matrix.a.T
+    if kind != "lifted":
+        a[rng.random(rows) < 0.2] = 0
+        a[:, rng.random(cols) < 0.2] = 0
     echelon, pivots = _row_echelon(a, p, reduced)
     want_echelon, want_pivots = _dense_row_echelon(a, p, reduced)
     assert echelon.dtype == np.int64
     assert np.array_equal(echelon, want_echelon)
     assert pivots == want_pivots
-
-
-# the largest prime the int64 kernels admit
-LARGEST_PRIME = 3037000493
 
 
 def test_modulus_bound():
